@@ -419,20 +419,14 @@ CRITERIA = [
     criterion_12_determinism,
 ]
 
-# criterion 9 aggregates what 1..8 observed but 10..12 also feed it, so it
-# runs after everything else while keeping its report position.
-_EXEC_ORDER = [0, 1, 2, 3, 4, 5, 6, 7, 9, 10, 11, 8]
-
 
 def run_all(quick: bool = False, workers: int | None = None,
             base_seed: int = 20240801, report=print) -> list[CriterionResult]:
+    # in order: criterion 9 aggregates the marginals that 1..8 pass to
+    # ctx.watch_*, and 10..12 pass none
     ctx = Context(sizes=QUICK_SIZES if quick else FULL_SIZES, seed=base_seed,
                   workers=workers)
-    results: dict[int, CriterionResult] = {}
-    for idx in _EXEC_ORDER:
-        res = CRITERIA[idx](ctx)
-        results[res.number] = res
-    ordered = [results[k] for k in sorted(results)]
+    ordered = [criterion(ctx) for criterion in CRITERIA]
     if report is not None:
         for res in ordered:
             report(res.line())

@@ -64,6 +64,12 @@ def _config(args, name: str) -> RunConfig:
     )
 
 
+def _positive_int(text: str) -> int:
+    if int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {text}")
+    return int(text)
+
+
 def _emit_json(payload: dict, cfg: RunConfig) -> None:
     payload = {"config": cfg.as_dict(), **payload}
     print(json.dumps(payload, indent=2, sort_keys=True))
@@ -317,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add(name, fn, **kw):
         p = sub.add_parser(name, **kw)
         p.set_defaults(func=fn)
-        p.add_argument("--workers", type=int, default=default_workers())
+        p.add_argument("--workers", type=_positive_int, default=default_workers())
         return p
 
     p = add("gen", cmd_gen, help="draw a random formula and write its text form")

@@ -246,6 +246,8 @@ def read_population(fh: IO[str]) -> Population:
     meta = dict(tok.split("=", 1) for tok in header[len("# pop v1 "):].split())
     samples = np.array([float(line) for line in fh if line.strip()])
     d = float(meta.get("d", "nan"))
+    if meta.get("kind") not in Kind.__members__:
+        raise ValueError(f"unknown population kind {meta.get('kind')!r}")
     return Population(
         samples=samples,
         kind=Kind[meta["kind"]],

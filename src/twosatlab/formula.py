@@ -9,10 +9,10 @@ the tree and branching-process machinery.
 
 from __future__ import annotations
 
-import json
+import heapq
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import IO, Iterable
+from typing import IO
 
 import numpy as np
 from scipy.sparse import coo_matrix
@@ -162,90 +162,85 @@ def is_satisfiable(f: Formula) -> bool:
     return bool(np.all(labels[0::2] != labels[1::2]))
 
 
-# -- exact marginals via per-component variable elimination ------------------
+# -- exact marginals: one two-pass sum-product kernel per component ----------
 #
-# Subcritical components routinely reach 30..80 variables at n=5000, far past
-# any 2^k enumeration budget, so per-component counting is done by exact
-# big-integer variable elimination (cost 2^width, width small on the sparse
-# near-tree components of the ensemble). count_solutions stays available as
-# the independent enumeration oracle.
+# Per component, one min-degree variable elimination (forward pass) yields the
+# count Z, and one calibration of its bucket tree (backward pass) every
+# variable's counts: integer belief propagation on trees. A bucket over w
+# variables is a list of 2^w Python ints; w above `width_cap` is a
+# ResourceLimitError. count_solutions is the independent enumeration oracle.
 
 
-def _clause_factor(si: int, sj: int) -> np.ndarray:
-    t = np.ones((2, 2), dtype=object)
-    t[0 if si > 0 else 1, 0 if sj > 0 else 1] = 0
-    return t
+def _spread(scope: tuple, into: tuple) -> list[int]:
+    """For each assignment of `into`, the index of its restriction to `scope`
+    (bit p of an index is the p-th variable of its tuple, set for +1)."""
+    idx = [0]
+    for v in into:
+        idx += [a + (1 << scope.index(v)) for a in idx] if v in scope else idx
+    return idx
 
 
-def _multiply(fa_scope, fa, fb_scope, fb):
-    scope = tuple(sorted(set(fa_scope) | set(fb_scope)))
-    def expand(s, tbl):
-        shape = tuple(2 if v in s else 1 for v in scope)
-        order = [s.index(v) for v in scope if v in s]
-        return tbl.transpose(order).reshape(shape)
-    return scope, expand(fa_scope, fa) * expand(fb_scope, fb)
+def _component_counts(nb: dict[int, set], rows: list, width_cap: int) -> tuple[int, dict]:
+    """Solution count Z of a connected component and, if Z > 0, its number of
+    solutions with x = +1 for each variable x. Consumes `nb`, the neighbour
+    sets; `rows` are the component's clauses (i, s_i, j, s_j)."""
+    # min-degree order; bucket v is over (v, *separator), the separator being
+    # v's neighbours, fill-in included, when v is eliminated
+    scope: dict[int, tuple] = {}
+    heap = [(len(s), v) for v, s in nb.items()]
+    heapq.heapify(heap)
+    while heap:
+        deg, v = heapq.heappop(heap)
+        if v in scope or deg != len(nb[v]):
+            continue
+        if deg + 1 > width_cap:
+            raise ResourceLimitError(f"elimination width {deg + 1} exceeds cap {width_cap}")
+        sep = nb.pop(v)
+        scope[v] = (v, *sorted(sep))
+        for u in sep:
+            nb[u] |= sep
+            nb[u] -= {u, v}
+            heapq.heappush(heap, (len(nb[u]), u))
+    order = list(scope)
+    rank = {v: k for k, v in enumerate(order)}
+    table = {v: [1] * (1 << len(s)) for v, s in scope.items()}
+    for i, si, j, sj in rows:  # each clause joins the bucket eliminated first
+        v = i if rank[i] < rank[j] else j
+        false = (si < 0) + 2 * (sj < 0)  # both literals false
+        table[v] = [0 if a == false else x for x, a in zip(table[v], _spread((i, j), scope[v]))]
 
+    # forward pass: bucket x child messages, v summed out, goes to the first-
+    # eliminated separator variable, spread over its scope; the last one is Z
+    kids: dict[int, list] = {v: [] for v in order}
+    for v in order:
+        t = table[v]
+        for _, _, e in kids[v]:
+            t = [x * y for x, y in zip(t, e)]
+        msg = [a + b for a, b in zip(t[0::2], t[1::2])]
+        if not any(msg):  # a zero message makes every count 0
+            return 0, {}
+        if len(scope[v]) > 1:
+            parent = min(scope[v][1:], key=rank.__getitem__)
+            idx = _spread(scope[v][1:], scope[parent])
+            kids[parent].append((v, idx, [msg[a] for a in idx]))
+    (z,) = msg
 
-def _eliminate_to_target(factors: list, target: int, width_cap: int) -> np.ndarray:
-    """Sum out every variable except `target`; return the (2,) count vector."""
-    live = [(tuple(s), t) for s, t in factors]
-    remaining = set()
-    for s, _ in live:
-        remaining.update(s)
-    remaining.discard(target)
-    while remaining:
-        # min-degree pick: smallest union scope after gathering
-        best_v, best_scope = None, None
-        neigh: dict[int, set] = {}
-        for s, _ in live:
-            for v in s:
-                if v in remaining:
-                    neigh.setdefault(v, set()).update(s)
-        for v, nb in neigh.items():
-            if best_scope is None or len(nb) < best_scope:
-                best_v, best_scope = v, len(nb)
-        bucket = [(s, t) for s, t in live if best_v in s]
-        live = [(s, t) for s, t in live if best_v not in s]
-        scope, tbl = bucket[0]
-        for s, t in bucket[1:]:
-            scope, tbl = _multiply(scope, tbl, s, t)
-            if len(scope) > width_cap:
-                raise ResourceLimitError(
-                    f"elimination width {len(scope)} exceeds cap {width_cap}"
-                )
-        axis = scope.index(best_v)
-        tbl = tbl.sum(axis=axis)
-        scope = tuple(v for v in scope if v != best_v)
-        live.append((scope, tbl))
-        remaining.discard(best_v)
-    scope, tbl = (target,), np.ones(2, dtype=object)
-    for s, t in live:
-        if s:
-            scope, tbl = _multiply(scope, tbl, s, t)
-        else:
-            tbl = tbl * t[()]
-    return tbl  # index 0: target = -1, index 1: target = +1
-
-
-def _component_marginals(clause_rows: np.ndarray, width_cap: int) -> dict[int, Fraction] | None:
-    factors = []
-    for i, si, j, sj in clause_rows:
-        if int(i) < int(j):
-            factors.append(((int(i), int(j)), _clause_factor(int(si), int(sj))))
-        else:
-            factors.append(((int(j), int(i)), _clause_factor(int(sj), int(si))))
-    variables = sorted({v for s, _ in factors for v in s})
-    out = {}
-    total = None
-    for x in variables:
-        vec = _eliminate_to_target(list(factors), x, width_cap)
-        z = int(vec[0]) + int(vec[1])
-        if total is None:
-            total = z
-            if z == 0:
-                return None
-        out[x] = Fraction(int(vec[1]), total)
-    return out
+    # backward pass: the parent's belief without the child's own message
+    # (prefix x suffix, no division: messages can be 0), onto its separator
+    down, plus = {order[-1]: [1]}, {}
+    for v in reversed(order):
+        lam = down.pop(v)
+        prefix = [[x * lam[a >> 1] for a, x in enumerate(table[v])]]
+        for _, _, e in kids[v]:
+            prefix.append([x * y for x, y in zip(prefix[-1], e)])
+        plus[v] = sum(prefix[-1][1::2])
+        rest = [1] * len(table[v])
+        for (c, idx, e), before in zip(reversed(kids[v]), reversed(prefix[:-1])):
+            down[c] = msg = [0] * (1 << len(scope[c]) - 1)
+            for a, x, y in zip(idx, before, rest):
+                msg[a] += x * y
+            rest = [x * y for x, y in zip(rest, e)]
+    return z, plus
 
 
 def exact_marginals(
@@ -256,27 +251,35 @@ def exact_marginals(
     Decomposes the factor graph into connected components and counts each
     component exactly; variables in no clause get marginal 1/2 outright.
     """
-    out = {v: Fraction(1, 2) for v in range(1, f.n + 1)}
-    if f.m == 0:
-        return out
-    i, j = f.clauses[:, 0] - 1, f.clauses[:, 2] - 1
-    g = coo_matrix((np.ones(f.m, dtype=np.int8), (i, j)), shape=(f.n, f.n))
-    _, labels = connected_components(g, directed=False)
-    order = np.argsort(labels[i], kind="stable")
-    comp_of_clause = labels[i][order]
-    bounds = np.searchsorted(comp_of_clause, np.unique(comp_of_clause), side="left")
-    groups = np.split(order, bounds[1:])
-    for rows in groups:
-        comp_clauses = f.clauses[rows]
-        nvars = len(np.unique(comp_clauses[:, [0, 2]]))
-        if nvars > component_cap:
-            raise ResourceLimitError(
-                f"component with {nvars} variables exceeds cap {component_cap}"
-            )
-        comp = _component_marginals(comp_clauses, width_cap)
-        if comp is None:
+    out = dict.fromkeys(range(1, f.n + 1), Fraction(1, 2))
+    nb: dict[int, set] = {}
+    rows_at: dict[int, list] = {}
+    for row in f.clauses.tolist():
+        i, _, j, _ = row
+        nb.setdefault(i, set()).add(j)
+        nb.setdefault(j, set()).add(i)
+        rows_at.setdefault(i, []).append(row)
+    shared: dict[Fraction, Fraction] = {}  # equal marginals share one Fraction
+    seen: set[int] = set()
+    for v in sorted(nb):  # components in order of their smallest variable
+        if v in seen:
+            continue
+        members = [v]
+        seen.add(v)
+        for u in members:
+            members += nb[u] - seen
+            seen |= nb[u]
+        if len(members) > component_cap:
+            raise ResourceLimitError(f"component with {len(members)} variables "
+                                     f"exceeds cap {component_cap}")
+        rows = [row for u in members for row in rows_at.get(u, ())]
+        # the kernel consumes the neighbour sets, which no later component reads
+        z, plus = _component_counts({u: nb[u] for u in members}, rows, width_cap)
+        if z == 0:
             return None
-        out.update(comp)
+        for u, c in plus.items():
+            q = Fraction(c, z)
+            out[u] = shared.setdefault(q, q)
     return out
 
 
@@ -304,10 +307,12 @@ def read_formula(fh: IO[str]) -> Formula:
     if len(header) != 4 or header[0] != "p" or header[1] != "2sat":
         raise ValueError("expected header 'p 2sat <n> <m>'")
     n, m = int(header[2]), int(header[3])
-    rows = []
-    for _ in range(m):
-        a, b = map(int, fh.readline().split())
-        rows.append((abs(a), 1 if a > 0 else -1, abs(b), 1 if b > 0 else -1))
+    if m < 0:
+        raise ValueError(f"negative clause count {m}")
+    rows = [(abs(a), 1 if a > 0 else -1, abs(b), 1 if b > 0 else -1)
+            for a, b in (map(int, fh.readline().split()) for _ in range(m))]
+    if any(line.strip() for line in fh):
+        raise ValueError(f"unexpected text after the {m} clause lines")
     cl = np.array(rows, dtype=np.int64).reshape(-1, 4)
     return Formula(n=n, clauses=cl)
 
@@ -315,14 +320,6 @@ def read_formula(fh: IO[str]) -> Formula:
 def marginals_to_json(n: int, marginals: dict[int, Fraction] | None) -> dict:
     if marginals is None:
         return {"n": n, "unsat": True, "marginals": []}
-    return {
-        "n": n,
-        "marginals": [
-            {
-                "var": v,
-                "num": str(marginals[v].numerator),
-                "den": str(marginals[v].denominator),
-            }
-            for v in sorted(marginals)
-        ],
-    }
+    return {"n": n, "marginals": [
+        {"var": v, "num": str(q.numerator), "den": str(q.denominator)}
+        for v, q in sorted(marginals.items())]}

@@ -173,6 +173,31 @@ def test_main_in_process_invalid():
     assert main(["tree-bp"]) == 2
 
 
+def test_compare_unknown_population_kind_exits_invalid(tmp_path, capsys):
+    good, bad = tmp_path / "good.pop", tmp_path / "bad.pop"
+    good.write_text("# pop v1 kind=MU d=0.8 gen=0 seed=0\n0.5\n")
+    bad.write_text("# pop v1 kind=BOGUS d=0.8 gen=0 seed=0\n0.5\n")
+    assert main(["compare", "--a", str(bad), "--b", str(good)]) == 2
+    err = capsys.readouterr().err
+    assert "invalid" in err and "BOGUS" in err
+    assert "Traceback" not in err
+
+
+def test_marginals_rejects_text_after_clauses(tmp_path, capsys):
+    path = tmp_path / "f.txt"
+    path.write_text("p 2sat 3 1\n1 2\n1 -1\ngarbage\n")
+    assert main(["marginals", "--in", str(path)]) == 2
+    assert "after the 1 clause lines" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("workers", ["0", "-5"])
+def test_workers_must_be_positive(workers, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["marginals", "--in", "unused.txt", "--workers", workers])
+    assert exc.value.code == 2
+    assert "--workers" in capsys.readouterr().err
+
+
 def test_workers_do_not_change_output(tmp_path):
     outputs = []
     for workers in ("1", "4"):

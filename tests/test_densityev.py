@@ -192,6 +192,12 @@ def test_population_file_roundtrip():
     assert np.array_equal(back.samples, p.samples)
 
 
+@pytest.mark.parametrize("header", ["# pop v1 kind=BOGUS d=0.8", "# pop v1 d=0.8"])
+def test_population_file_rejects_unknown_or_missing_kind(header):
+    with pytest.raises(ValueError, match="kind"):
+        read_population(io.StringIO(header + "\n0.5\n"))
+
+
 def test_population_file_header():
     buf = io.StringIO()
     write_population(point_population(0.5, 3, Kind.MU, d=0.8), buf)

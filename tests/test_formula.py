@@ -6,6 +6,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
 
 from twosatlab import (
     Formula,
@@ -19,6 +23,7 @@ from twosatlab import (
     read_formula,
     write_formula,
 )
+from twosatlab.formula import _ELIM_WIDTH_CAP, COMPONENT_CAP
 
 CONTRADICTION = Formula(
     n=2,
@@ -151,6 +156,167 @@ def test_component_independence():
             assert mm[v + 8] == mb[v]
 
 
+# -- oracle: one full variable elimination per target variable ---------------
+#
+# An independent reference for exact_marginals: per component, min-degree
+# elimination of every variable but the target, on numpy object-array
+# factors, once for each target variable.
+
+
+def _clause_factor(si: int, sj: int) -> np.ndarray:
+    t = np.ones((2, 2), dtype=object)
+    t[0 if si > 0 else 1, 0 if sj > 0 else 1] = 0
+    return t
+
+
+def _multiply(fa_scope, fa, fb_scope, fb):
+    scope = tuple(sorted(set(fa_scope) | set(fb_scope)))
+
+    def expand(s, tbl):
+        shape = tuple(2 if v in s else 1 for v in scope)
+        order = [s.index(v) for v in scope if v in s]
+        return tbl.transpose(order).reshape(shape)
+    return scope, expand(fa_scope, fa) * expand(fb_scope, fb)
+
+
+def _eliminate_to_target(factors: list, target: int, width_cap: int) -> np.ndarray:
+    """Sum out every variable except `target`; return the (2,) count vector."""
+    live = [(tuple(s), t) for s, t in factors]
+    remaining = set()
+    for s, _ in live:
+        remaining.update(s)
+    remaining.discard(target)
+    while remaining:
+        best_v, best_scope = None, None
+        neigh: dict[int, set] = {}
+        for s, _ in live:
+            for v in s:
+                if v in remaining:
+                    neigh.setdefault(v, set()).update(s)
+        for v, nb in neigh.items():
+            if best_scope is None or len(nb) < best_scope:
+                best_v, best_scope = v, len(nb)
+        bucket = [(s, t) for s, t in live if best_v in s]
+        live = [(s, t) for s, t in live if best_v not in s]
+        scope, tbl = bucket[0]
+        for s, t in bucket[1:]:
+            scope, tbl = _multiply(scope, tbl, s, t)
+            if len(scope) > width_cap:
+                raise ResourceLimitError(
+                    f"elimination width {len(scope)} exceeds cap {width_cap}"
+                )
+        tbl = tbl.sum(axis=scope.index(best_v))
+        scope = tuple(v for v in scope if v != best_v)
+        live.append((scope, tbl))
+        remaining.discard(best_v)
+    scope, tbl = (target,), np.ones(2, dtype=object)
+    for s, t in live:
+        if s:
+            scope, tbl = _multiply(scope, tbl, s, t)
+        else:
+            tbl = tbl * t[()]
+    return tbl  # index 0: target = -1, index 1: target = +1
+
+
+def oracle_marginals(f, component_cap=COMPONENT_CAP, width_cap=_ELIM_WIDTH_CAP):
+    out = {v: Fraction(1, 2) for v in range(1, f.n + 1)}
+    if f.m == 0:
+        return out
+    i, j = f.clauses[:, 0] - 1, f.clauses[:, 2] - 1
+    g = coo_matrix((np.ones(f.m, dtype=np.int8), (i, j)), shape=(f.n, f.n))
+    _, labels = connected_components(g, directed=False)
+    order = np.argsort(labels[i], kind="stable")
+    comp_of_clause = labels[i][order]
+    bounds = np.searchsorted(comp_of_clause, np.unique(comp_of_clause), side="left")
+    for rows in np.split(order, bounds[1:]):
+        comp_clauses = f.clauses[rows]
+        nvars = len(np.unique(comp_clauses[:, [0, 2]]))
+        if nvars > component_cap:
+            raise ResourceLimitError(
+                f"component with {nvars} variables exceeds cap {component_cap}"
+            )
+        factors = []
+        for ci, si, cj, sj in comp_clauses.tolist():
+            if ci < cj:
+                factors.append(((ci, cj), _clause_factor(si, sj)))
+            else:
+                factors.append(((cj, ci), _clause_factor(sj, si)))
+        total = None
+        for x in sorted({v for s, _ in factors for v in s}):
+            vec = _eliminate_to_target(list(factors), x, width_cap)
+            if total is None:
+                total = int(vec[0]) + int(vec[1])
+                if total == 0:
+                    return None
+            out[x] = Fraction(int(vec[1]), total)
+    return out
+
+
+def outcome(fn, *args, **kwargs):
+    """The result, or the kind of resource limit hit ("component", "elimination")."""
+    try:
+        return fn(*args, **kwargs)
+    except ResourceLimitError as exc:
+        return "limit", str(exc).split()[0]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_marginals_match_both_oracles(data):
+    copy = data.draw(st.booleans(), label="disconnected copy")
+    n = data.draw(st.integers(2, 7 if copy else 14), label="n")
+    d = data.draw(st.floats(0.3, 2.6), label="d")
+    clauses = generate_formula(n, d, data.draw(st.integers(0, 2**32 - 1))).clauses
+    if len(clauses):
+        # clauses repeated on one variable pair, with fresh signs: 2-cycles
+        picks = data.draw(st.lists(st.integers(0, len(clauses) - 1), max_size=4))
+        extra = clauses[picks].copy()
+        for row in extra:
+            row[[1, 3]] = data.draw(st.tuples(st.sampled_from([-1, 1]),
+                                              st.sampled_from([-1, 1])))
+        clauses = np.vstack([clauses, extra])
+    if copy:
+        shifted = clauses.copy()
+        shifted[:, [0, 2]] += n
+        clauses, n = np.vstack([clauses, shifted]), 2 * n
+    f = Formula(n=n, clauses=clauses)
+    stats = count_solutions(f)
+    want = None if stats.count == 0 else {v: stats.marginal(v) for v in range(1, n + 1)}
+    assert exact_marginals(f) == want
+    assert oracle_marginals(f) == want
+    cap = data.draw(st.integers(1, n), label="component_cap")
+    assert (outcome(exact_marginals, f, component_cap=cap)
+            == outcome(oracle_marginals, f, component_cap=cap))
+
+
+def test_marginals_match_oracle_on_gate_formulas():
+    # criterion 1's 40-node oracle trees and one criterion 10 formula
+    from twosatlab.acceptance import random_tree
+    from twosatlab.treebp import to_formula
+    from twosatlab.util import substream
+
+    rng = substream(20240801, 1)
+    for _ in range(20):
+        f = to_formula(random_tree(rng, 40))
+        assert exact_marginals(f) == oracle_marginals(f)
+    f = generate_formula(5000, 0.8, seed=20240801 * 1000)
+    assert exact_marginals(f) == oracle_marginals(f)
+
+
+def test_marginals_forced_variable_on_a_two_cycle():
+    # x1 is forced true, so messages hold zeros while Z > 0
+    f = Formula(n=3, clauses=[[1, 1, 2, 1], [1, 1, 2, -1], [2, 1, 3, 1]])
+    assert exact_marginals(f) == {1: Fraction(1), 2: Fraction(2, 3), 3: Fraction(2, 3)}
+
+
+def test_width_cap_error():
+    triangle = Formula(n=3, clauses=[[1, 1, 2, 1], [2, 1, 3, 1], [1, -1, 3, 1]])
+    with pytest.raises(ResourceLimitError, match="elimination width 3 exceeds cap 2"):
+        exact_marginals(triangle, width_cap=2)
+    assert outcome(oracle_marginals, triangle, width_cap=2) == ("limit", "elimination")
+    assert exact_marginals(triangle, width_cap=3) == oracle_marginals(triangle)
+
+
 def test_component_cap_error():
     f = generate_formula(5000, 0.8, seed=3)
     with pytest.raises(ResourceLimitError, match="component"):
@@ -200,6 +366,17 @@ def test_text_roundtrip():
 def test_text_literal_convention():
     f = read_formula(io.StringIO("p 2sat 7 1\n-3 7\n"))
     assert f.clauses.tolist() == [[3, -1, 7, 1]]
+
+
+def test_text_rejects_text_after_clauses():
+    with pytest.raises(ValueError, match="after the 1 clause lines"):
+        read_formula(io.StringIO("p 2sat 3 1\n1 2\n1 -1\ngarbage\n"))
+    with pytest.raises(ValueError):
+        read_formula(io.StringIO("p 2sat 3 2\n1 2\n"))
+    with pytest.raises(ValueError, match="negative"):
+        read_formula(io.StringIO("p 2sat 3 -1\n"))
+    f = read_formula(io.StringIO("p 2sat 3 1\n1 2\n\n  \n"))
+    assert f.clauses.tolist() == [[1, 1, 2, 1]]
 
 
 def test_marginal_json_shape():
