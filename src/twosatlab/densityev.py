@@ -22,7 +22,7 @@ from typing import IO
 import numpy as np
 
 from .numerics import log_clause_term, phi, psi
-from .util import substream
+from .util import format_double, substream
 
 
 class Kind(enum.Enum):
@@ -232,11 +232,11 @@ def _mix(seed: int, *path: int) -> int:
 
 
 def write_population(p: Population, fh: IO[str]) -> None:
-    d = "nan" if p.d is None else format(p.d, "g")
+    d = "nan" if p.d is None else repr(float(p.d))  # shortest exact form
     seed = 0 if p.seed is None else p.seed
     fh.write(f"# pop v1 kind={p.kind.value} d={d} gen={p.generation} seed={seed}\n")
     for x in p.samples:
-        fh.write(format(float(x), ".17g") + "\n")
+        fh.write(format_double(x) + "\n")
 
 
 def read_population(fh: IO[str]) -> Population:

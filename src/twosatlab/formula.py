@@ -15,8 +15,6 @@ from fractions import Fraction
 from typing import IO
 
 import numpy as np
-from scipy.sparse import coo_matrix
-from scipy.sparse.csgraph import connected_components
 
 from .densityev import Kind, Population
 from .util import ResourceLimitError, substream
@@ -145,6 +143,10 @@ def count_solutions(f: Formula, cap: int = ENUM_CAP) -> SolutionStats:
 
 def is_satisfiable(f: Formula) -> bool:
     """2-SAT decision via strongly connected components of the implication graph."""
+    # imported here so that importing the package (and the CLI) skips scipy
+    from scipy.sparse import coo_matrix
+    from scipy.sparse.csgraph import connected_components
+
     if f.m == 0:
         return True
     i, si, j, sj = (f.clauses[:, c] for c in range(4))
@@ -313,7 +315,10 @@ def read_formula(fh: IO[str]) -> Formula:
             for a, b in (map(int, fh.readline().split()) for _ in range(m))]
     if any(line.strip() for line in fh):
         raise ValueError(f"unexpected text after the {m} clause lines")
-    cl = np.array(rows, dtype=np.int64).reshape(-1, 4)
+    try:
+        cl = np.array(rows, dtype=np.int64).reshape(-1, 4)
+    except OverflowError:
+        raise ValueError("literal outside the int64 range") from None
     return Formula(n=n, clauses=cl)
 
 

@@ -12,6 +12,13 @@ survival-conditioned variable spawns Poisson(d*(1-eta)) surviving children
 conditioned to be at least one, plus an independent Poisson(d*eta) pack of
 dead children. Clause types and signs stay uniform and independent of the
 marks, which only depend on counts.
+
+Bulk exact marginals (`extinct_marginal_samples`) never build node objects:
+each chunk grows its whole forest of extinction-conditioned trees one
+generation at a time as flat parent/clause-type arrays, then folds the
+generations bottom-up into reduced integer pairs with `treebp.bp_pair`.
+A tree with more than node_cap nodes leaves the frontier as soon as it
+passes the cap and comes back as None.
 """
 
 from __future__ import annotations
@@ -19,12 +26,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 
 import numpy as np
 
 from .densityev import resample_log_terms
 from .numerics import log_clause_term
-from .treebp import CLAUSE_TYPES, ClauseType, TreeFormula, bp_root_marginal
+from .treebp import CLAUSE_TYPES, ClauseType, TreeFormula, bp_pair, bp_root_marginal
 from .util import ResourceLimitError, chunk_sizes, parallel_map, substream
 
 _NODE_CAP = 20_000_000
@@ -125,8 +133,9 @@ def sample_extinct_conditioned(
 
 
 def _grow_extinct(rng, lam: float, depth_limit: int | None, node_cap: int) -> GWNode | None:
-    """Grow a Poisson(lam) tree; None when it exceeds node_cap (lam near 1
-    makes sizes heavy-tailed, so bulk callers need an explicit policy)."""
+    """Grow a Poisson(lam) tree of node objects; None when it exceeds node_cap
+    (lam near 1 makes sizes heavy-tailed). Bulk marginals use the array
+    forest of `_sample_extinct_forest` instead."""
     root = GWNode(surviving=False)
     frontier = [root]
     depth = 0
@@ -194,18 +203,6 @@ def root_marginal(t: GWTree) -> Fraction:
     return bp_root_marginal(t.root)
 
 
-def _combine(child_entries) -> Fraction:
-    w_plus = Fraction(1)
-    w_minus = Fraction(1)
-    for (s, sp), p in child_entries:
-        satisfies = p if sp > 0 else 1 - p
-        if s < 0:
-            w_plus *= satisfies
-        else:
-            w_minus *= satisfies
-    return w_plus / (w_plus + w_minus)
-
-
 def marginal_sequence(t: GWTree) -> list[Fraction]:
     """Root marginals of the depth-0, depth-2, ..., depth-2L truncations.
 
@@ -215,12 +212,7 @@ def marginal_sequence(t: GWTree) -> list[Fraction]:
     if t.depth_limit is None:
         raise ValueError("marginal_sequence needs a truncated tree")
     L = t.depth_limit
-    memo: dict[int, list[Fraction]] = {}
-    half = Fraction(1, 2)
-
-    def budget_of(depth):
-        return L - depth
-
+    memo: dict[int, list[tuple[int, int]]] = {}
     stack: list[tuple[GWNode, int]] = [(t.root, 0)]
     while stack:
         node, depth = stack[-1]
@@ -232,12 +224,11 @@ def marginal_sequence(t: GWTree) -> list[Fraction]:
             stack.extend(pending)
             continue
         stack.pop()
-        margs = [half]
-        for j in range(1, budget_of(depth) + 1):
-            entries = [(ct, memo[id(c)][j - 1]) for ct, c in node.children]
-            margs.append(_combine(entries))
+        margs = [(1, 2)]
+        for j in range(1, L - depth + 1):
+            margs.append(bp_pair((ct, memo[id(c)][j - 1]) for ct, c in node.children))
         memo[id(node)] = margs
-    return memo[id(t.root)]
+    return [Fraction(a, b) for a, b in memo[id(t.root)]]
 
 
 def truncate(t: GWTree, depth: int) -> GWTree:
@@ -436,15 +427,75 @@ def survival_theta_population(d: float, L: int, size: int, seed: int) -> np.ndar
 # -- bulk exact-marginal sampling ----------------------------------------------
 
 
+def _sample_extinct_forest(rng, lam: float, count: int, node_cap: int):
+    """Grow `count` independent Poisson(lam) trees together, a generation at a time.
+
+    Returns (levels, alive). levels[g-1] = (parent, types) describes variable
+    generation g >= 1: node i hangs below node parent[i] of generation g-1
+    (the roots are generation 0), through clause type CLAUSE_TYPES[types[i]].
+    Parents ascend, so siblings are contiguous. alive[k] is False exactly when
+    tree k has more than node_cap nodes; such a tree leaves the frontier in
+    the generation that takes it over the cap, and `_drop_trees` then removes
+    its nodes below the root, so the pair pass spends no time on them.
+    """
+    tree = np.arange(count)  # tree of each frontier node
+    size = np.ones(count, dtype=np.int64)
+    alive = size <= node_cap
+    levels = []
+    while tree.size:
+        kids = rng.poisson(lam, size=tree.size)
+        parent = np.repeat(np.arange(tree.size, dtype=np.int32), kids)
+        types = rng.integers(0, 4, size=parent.size, dtype=np.int8)
+        tree = tree[parent]
+        size += np.bincount(tree, minlength=count)
+        alive = size <= node_cap
+        keep = alive[tree]
+        if not keep.all():
+            parent, types, tree = parent[keep], types[keep], tree[keep]
+        if parent.size:
+            levels.append((parent, types))
+    if not alive.all():
+        _drop_trees(levels, alive)
+    return levels, alive
+
+
+def _drop_trees(levels, alive) -> None:
+    """Remove from `levels`, in place, every node below the root of a tree k
+    with alive[k] False; the other trees keep their shape and child order."""
+    tree = np.arange(alive.size)
+    index = tree  # new position of each kept node of the generation above
+    for g, (parent, types) in enumerate(levels):
+        tree = tree[parent]
+        keep = alive[tree]
+        if not keep.any():  # no kept tree reaches this deep
+            del levels[g:]
+            return
+        levels[g] = (index[parent[keep]].astype(np.int32), types[keep])
+        index = np.cumsum(keep) - 1
+
+
+def _forest_root_pairs(levels, count: int) -> list[tuple[int, int]]:
+    """Exact root marginal (a, b) of each of `count` trees of a sampled forest.
+
+    Folds the generations bottom-up with `bp_pair`; a node without children
+    is (1, 2). Consumes `levels`, freeing each generation once folded.
+    """
+    vals = [(1, 2)] * (len(levels[-1][0]) if levels else count)
+    while levels:
+        parent, types = levels.pop()
+        n_up = len(levels[-1][0]) if levels else count
+        below = zip(map(CLAUSE_TYPES.__getitem__, types.tolist()), vals)
+        vals = [bp_pair(islice(below, k))
+                for k in np.bincount(parent, minlength=n_up).tolist()]
+    return vals
+
+
 def _extinct_marginal_chunk(args) -> list[Fraction | None]:
     d, count, seed, node_cap = args
     lam = d * extinction_probability(d).eta
-    out = []
-    for k in range(count):
-        rng = substream(seed, k)
-        root = _grow_extinct(rng, lam, None, node_cap)
-        out.append(None if root is None else bp_root_marginal(root))
-    return out
+    levels, alive = _sample_extinct_forest(substream(seed, 0x6D), lam, count, node_cap)
+    pairs = _forest_root_pairs(levels, count)
+    return [Fraction(a, b) if ok else None for (a, b), ok in zip(pairs, alive.tolist())]
 
 
 def extinct_marginal_samples(

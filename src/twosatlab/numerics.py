@@ -12,12 +12,16 @@ stays finite and accurate for |z| up to the overflow limit.
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import expit
 
 
 def psi(z):
-    """Logistic map from log-likelihood ratio to probability in (0,1)."""
-    return expit(z)
+    """Logistic map from log-likelihood ratio to probability in [0,1].
+
+    exp(-z) overflows to inf below z = -709.78, where the result is then 0,
+    as scipy.special.expit gives there too.
+    """
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-np.asarray(z, dtype=float)))
 
 
 def phi(p):

@@ -45,14 +45,35 @@ def leaf() -> TreeFormula:
     return TreeFormula()
 
 
-def bp_root_marginal(root) -> Fraction:
-    """Bottom-up marginal recursion; works on any node with `.children`.
+def bp_pair(entries) -> tuple[int, int]:
+    """Marginal of a variable from its children, as a reduced pair (a, b) = a/b.
 
-    The weight of setting a variable to +1 is the product, over clauses in
-    which it appears negated, of the probability that the child variable
-    satisfies the clause on its own; symmetrically for -1.
+    `entries` yields ((s, s'), (a_c, b_c)): the clause type above a child and
+    the child's own marginal a_c/b_c. The weight of setting the variable to
+    +1 is the product, over clauses in which it appears negated, of the
+    probability that the child satisfies the clause on its own;
+    symmetrically for -1. With the weights kept as integer ratios
+    N+/D+ and N-/D-, the marginal is N+D- / (N+D- + N-D+); a childless
+    variable gets (1, 2).
     """
-    memo: dict[int, Fraction] = {}
+    n_plus = d_plus = n_minus = d_minus = 1
+    for (s, sp), (a, b) in entries:
+        if s < 0:
+            n_plus *= a if sp > 0 else b - a
+            d_plus *= b
+        else:
+            n_minus *= a if sp > 0 else b - a
+            d_minus *= b
+    x = n_plus * d_minus
+    y = x + n_minus * d_plus
+    g = gcd(x, y)
+    return x // g, y // g
+
+
+def bp_root_marginal(root) -> Fraction:
+    """Exact root marginal by one bottom-up `bp_pair` pass; works on any node
+    with `.children`."""
+    memo: dict[int, tuple[int, int]] = {}
     stack = [root]
     while stack:
         node = stack[-1]
@@ -64,17 +85,8 @@ def bp_root_marginal(root) -> Fraction:
             stack.extend(pending)
             continue
         stack.pop()
-        w_plus = Fraction(1)
-        w_minus = Fraction(1)
-        for (s, sp), child in node.children:
-            p = memo[id(child)]
-            satisfies = p if sp > 0 else 1 - p
-            if s < 0:
-                w_plus *= satisfies
-            else:
-                w_minus *= satisfies
-        memo[id(node)] = w_plus / (w_plus + w_minus)
-    return memo[id(root)]
+        memo[id(node)] = bp_pair((ct, memo[id(c)]) for ct, c in node.children)
+    return Fraction(*memo[id(root)])
 
 
 def root_marginal(t: TreeFormula) -> Fraction:
@@ -226,35 +238,40 @@ def format_tree(t, marks: bool = False) -> str:
     return "".join(out)
 
 
+_SIGNS = {"+": 1, "-": -1}
+
+
 def parse_tree(text: str) -> TreeFormula:
+    """Inverse of `format_tree`; iterative, so nesting depth is unbounded.
+
+    Raises ValueError on any text that is not exactly one well-formed tree.
+    """
     toks = text.replace("(", " ( ").replace(")", " ) ").split()
+    # open nodes, outermost first: (children read so far, clause type above)
+    stack: list[tuple[list, ClauseType | None]] = []
+    edge = None
     pos = 0
-
-    def expect(tok):
-        nonlocal pos
-        if pos >= len(toks) or toks[pos] != tok:
+    while True:
+        if toks[pos:pos + 1] != ["("]:
             raise ValueError(f"bad tree text near token {pos}: {toks[pos:pos+3]}")
-        pos += 1
-
-    def node() -> TreeFormula:
-        nonlocal pos
-        expect("(")
-        if pos >= len(toks) or toks[pos] not in ("v", "v!"):
+        if toks[pos + 1:pos + 2] not in (["v"], ["v!"]):
             raise ValueError("expected variable node 'v'")
-        pos += 1
-        children = []
-        while pos < len(toks) and toks[pos] != ")":
-            edge = toks[pos]
-            if len(edge) != 4 or edge[0] != "[" or edge[3] != "]":
-                raise ValueError(f"bad edge label {edge!r}")
-            s = 1 if edge[1] == "+" else -1
-            sp = 1 if edge[2] == "+" else -1
+        pos += 2
+        stack.append(([], edge))
+        while pos < len(toks) and toks[pos] == ")":
             pos += 1
-            children.append((ClauseType(s, sp), node()))
-        expect(")")
-        return TreeFormula(children=tuple(children))
-
-    t = node()
-    if pos != len(toks):
-        raise ValueError("trailing text after tree")
-    return t
+            children, above = stack.pop()
+            node = TreeFormula(children=tuple(children))
+            if not stack:
+                if pos != len(toks):
+                    raise ValueError("trailing text after tree")
+                return node
+            stack[-1][0].append((above, node))
+        if pos >= len(toks):
+            raise ValueError(f"bad tree text near token {pos}: unclosed node")
+        label = toks[pos]
+        if (len(label) != 4 or label[0] != "[" or label[3] != "]"
+                or label[1] not in _SIGNS or label[2] not in _SIGNS):
+            raise ValueError(f"bad edge label {label!r}")
+        edge = ClauseType(_SIGNS[label[1]], _SIGNS[label[2]])
+        pos += 1

@@ -232,3 +232,24 @@ def test_determinism_reports_launch_failure(monkeypatch):
     assert "twosatlab gen --n 60" in res.detail
     assert "--workers 1 exited 3" in res.detail
     assert res.detail.endswith("resource limit: too big")
+
+
+def test_tree_bp_deep_chain_in_process(tmp_path, capsys):
+    depth = 3000
+    path = tmp_path / "deep.txt"
+    path.write_text("(v [++]" * depth + "(v)" + ")" * depth + "\n")
+    assert main(["tree-bp", "--in", str(path)]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    a, b = 1, 2  # each [++] edge maps q to 1/(1+q)
+    for _ in range(depth):
+        a, b = b, a + b
+    assert payload["marginal"] == f"{a}/{b}"
+
+
+def test_cli_import_skips_scipy():
+    probe = ("import sys, twosatlab.cli; "
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    res = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                         text=True, env=child_env())
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "[]"

@@ -23,7 +23,14 @@ from twosatlab import (
 )
 from twosatlab.densityev import Kind, Population
 from twosatlab.analysis import compare_distributions
-from twosatlab.gwsim import _canonical_forms, root_marginal
+from twosatlab.gwsim import (
+    _canonical_forms,
+    _drop_trees,
+    _forest_root_pairs,
+    _sample_extinct_forest,
+    root_marginal,
+)
+from twosatlab.treebp import CLAUSE_TYPES, bp_root_marginal, format_tree
 from twosatlab.numerics import psi
 from twosatlab.util import substream
 
@@ -191,6 +198,80 @@ def test_extinct_oversize_policy():
     n_none = sum(v is None for v in vals)
     assert 1 <= n_none <= 60
     assert all(v is None or isinstance(v, Fraction) for v in vals)
+
+
+def _forest_nodes(levels, count):
+    """GWNode trees rebuilt from the batched sampler's level arrays."""
+    roots = [GWNode() for _ in range(count)]
+    gen = roots
+    for parent, types in levels:
+        nxt = []
+        for p, t in zip(parent.tolist(), types.tolist()):
+            child = GWNode()
+            gen[p].children.append((CLAUSE_TYPES[t], child))
+            nxt.append(child)
+        gen = nxt
+    return roots
+
+
+@pytest.mark.parametrize("d", [0.5, 0.8, 1.5, 1.9])
+def test_forest_pairs_match_tree_bp(d):
+    # the integer pair pass against Fraction BP on the same trees
+    count = 2500
+    lam = d * extinction_probability(d).eta
+    levels, alive = _sample_extinct_forest(substream(41, int(10 * d)), lam, count, 10**9)
+    roots = _forest_nodes(levels, count)
+    assert alive.all() and any(r.children for r in roots)
+    pairs = _forest_root_pairs(levels, count)
+    assert not levels  # consumed
+    assert [Fraction(a, b) for a, b in pairs] == [bp_root_marginal(r) for r in roots]
+    assert all(math.gcd(a, b) == 1 for a, b in pairs)
+
+
+def test_forest_cap_drops_exactly_the_oversize_trees():
+    # a one-tree forest draws the same numbers with or without a cap until
+    # the cap stops it: a cap at the tree's true size keeps it, one less drops it
+    for k in range(200):
+        full, _ = _sample_extinct_forest(substream(42, k), 1.0, 1, 10**9)
+        size = 1 + sum(len(parent) for parent, _ in full)
+        for cap, kept in ((size, True), (size - 1, False)):
+            _, alive = _sample_extinct_forest(substream(42, k), 1.0, 1, cap)
+            assert alive.tolist() == [kept]
+    # many trees at once: every kept tree is within the cap, and a dropped
+    # tree leaves only its root in the levels
+    cap = 30
+    levels, alive = _sample_extinct_forest(substream(43, 0), 1.0, 2000, cap)
+    roots = _forest_nodes(levels, 2000)
+    assert 0 < (~alive).sum() < 2000
+    assert all(_count_nodes(r) <= cap if ok else not r.children
+               for r, ok in zip(roots, alive))
+
+
+def test_drop_trees_leaves_the_kept_trees_intact():
+    count = 300
+    levels, _ = _sample_extinct_forest(substream(44, 0), 0.8, count, 10**9)
+    full = [format_tree(r) for r in _forest_nodes(levels, count)]
+    alive = substream(44, 1).random(count) < 0.7
+    _drop_trees(levels, alive)
+    kept = [format_tree(r) for r in _forest_nodes(levels, count)]
+    assert kept == [text if ok else "(v)" for text, ok in zip(full, alive)]
+    assert all(parent.dtype == np.int32 and parent.size for parent, _ in levels)
+
+
+def test_extinct_marginals_oversize_share_matches_borel_law():
+    # at d = 1 the tree size is Borel(1): P(size = n) = e^-n n^(n-1) / n!
+    n, cap = 4000, 30
+    vals = extinct_marginal_samples(1.0, n, seed=8, node_cap=cap)
+    p = 1.0 - sum(math.exp(-k + (k - 1) * math.log(k) - math.lgamma(k + 1))
+                  for k in range(1, cap + 1))
+    share = sum(v is None for v in vals) / n
+    assert abs(share - p) <= 4 * math.sqrt(p * (1 - p) / n)
+
+
+def test_extinct_marginals_worker_invariant():
+    one = extinct_marginal_samples(0.8, 500, seed=3, chunk=100, workers=1)
+    two = extinct_marginal_samples(0.8, 500, seed=3, chunk=100, workers=2)
+    assert one == two and len(one) == 500
 
 
 def test_survival_requires_supercritical():

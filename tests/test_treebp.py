@@ -174,3 +174,21 @@ def test_parse_rejects_garbage():
     for bad in ("", "(v", "(x)", "(v [-](v))", "(v)(v)"):
         with pytest.raises(ValueError):
             parse_tree(bad)
+
+
+def test_parse_deep_chain():
+    # each [++] edge maps the child's marginal q to 1/(1+q): Fibonacci ratios
+    depth = 5000
+    text = "(v [++]" * depth + "(v)" + ")" * depth
+    t = parse_tree(text)
+    assert format_tree(t) == text
+    a, b = 1, 2
+    for _ in range(depth):
+        a, b = b, a + b
+    assert root_marginal(t) == Fraction(a, b)
+
+
+def test_parse_rejects_unknown_sign():
+    for bad in ("(v [x+](v))", "(v [+?](v))", "(v [++](v)"):
+        with pytest.raises(ValueError):
+            parse_tree(bad)
