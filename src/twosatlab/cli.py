@@ -178,7 +178,7 @@ def cmd_gw_sample(args):
                 values[k] = float(gwsim.marginal_sequence(t)[-1])
             elif args.conditioned == "extinct":
                 t = gwsim.sample_extinct_conditioned(args.d, sub)
-                values[k] = float(gwsim.root_marginal(t))
+                values[k] = float(treebp.root_marginal(t.root))
             else:
                 t = gwsim.sample_survival_conditioned(args.d, args.depth, sub)
                 values[k] = float(gwsim.marginal_sequence(t)[-1])
@@ -405,6 +405,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    if hasattr(sys, "set_int_max_str_digits"):  # exact values can be any length
+        sys.set_int_max_str_digits(0)
     ap = build_parser()
     args = ap.parse_args(argv)
     try:

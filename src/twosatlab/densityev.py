@@ -15,6 +15,7 @@ empirical measures (root-mean-square of sorted-sample differences).
 
 from __future__ import annotations
 
+import copy
 import enum
 from dataclasses import dataclass, field, replace
 from typing import IO
@@ -46,7 +47,7 @@ class Population:
             raise ValueError("population needs a non-empty 1-d sample list")
         # closed interval: finite-formula marginals may be forced to 0 or 1;
         # the recursion operators themselves stay strictly interior
-        if self.kind is Kind.MU and (np.any(s < 0.0) or np.any(s > 1.0)):
+        if self.kind is Kind.MU and not np.all((s >= 0.0) & (s <= 1.0)):
             raise ValueError("MU samples must lie in [0,1]")
         if self.kind is Kind.THETA and not np.all(np.isfinite(s)):
             raise ValueError("THETA samples must be finite")
@@ -95,25 +96,20 @@ def apply_ll_coupled(pa: Population, pb: Population, d: float, seed: int):
     """Apply one generation to both inputs with shared operator randomness.
 
     Inputs are paired by sorted order (the optimal coupling of equal-size
-    empirical measures); D, signs and resampling indices are shared.
+    empirical measures); D, signs and resampling indices are shared: each
+    side resamples with its own copy of the generator taken after D is drawn.
     """
     if pa.size != pb.size:
         raise ValueError("coupled inputs must have equal size")
     rng = substream(seed, 0x12)
     counts = rng.poisson(d, size=pa.size)
-    total = int(counts.sum())
-    idx = rng.integers(0, pa.size, size=total)
-    s = 2 * rng.integers(0, 2, size=total) - 1
-    sp = 2 * rng.integers(0, 2, size=total) - 1
-    owner = np.repeat(np.arange(pa.size), counts)
-    outs = []
-    for p in (pa, pb):
-        vals = np.sort(p.samples)[idx]
-        terms = s * log_clause_term(vals, sp)
-        agg = np.bincount(owner, weights=terms, minlength=p.size)
-        outs.append(Population(samples=agg, kind=Kind.THETA, d=d,
-                               generation=p.generation + 1, seed=seed))
-    return outs[0], outs[1]
+    return tuple(
+        Population(
+            samples=resample_log_terms(copy.deepcopy(rng), np.sort(p.samples), counts),
+            kind=Kind.THETA, d=d, generation=p.generation + 1, seed=seed,
+        )
+        for p in (pa, pb)
+    )
 
 
 def apply_de(p: Population, d: float, seed: int) -> Population:

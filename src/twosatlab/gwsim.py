@@ -19,11 +19,16 @@ generation at a time as flat parent/clause-type arrays, then folds the
 generations bottom-up into reduced integer pairs with `treebp.bp_pair`.
 A tree with more than node_cap nodes leaves the frontier as soon as it
 passes the cap and comes back as None.
+
+Exact values of a single node-object tree (`marginal_sequence`,
+`tree_probability`) are each one `treebp.fold`, memoised by node identity,
+so they take shared `TreeFormula` trees as they are, without expanding them.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
@@ -32,7 +37,7 @@ import numpy as np
 
 from .densityev import resample_log_terms
 from .numerics import log_clause_term
-from .treebp import CLAUSE_TYPES, ClauseType, TreeFormula, bp_pair, bp_root_marginal
+from .treebp import CLAUSE_TYPES, TreeFormula, bp_pair, fold
 from .util import ResourceLimitError, chunk_sizes, parallel_map, substream
 
 _NODE_CAP = 20_000_000
@@ -50,9 +55,10 @@ class GWNode:
 
 @dataclass(frozen=True)
 class GWTree:
-    """A sampled tree; depth_limit counts variable generations (None=complete)."""
+    """A sampled tree; depth_limit counts variable generations (None=complete).
+    The root is any node with `.children`: a GWNode or a TreeFormula."""
 
-    root: GWNode
+    root: GWNode | TreeFormula
     depth_limit: int | None
     d: float
     conditioned: str = "none"
@@ -198,37 +204,29 @@ def sample_survival_conditioned(d: float, L: int, seed: int) -> GWTree:
 # -- exact marginals on sampled trees -----------------------------------------
 
 
-def root_marginal(t: GWTree) -> Fraction:
-    """Exact rational root marginal of the tree read as a 2-SAT formula."""
-    return bp_root_marginal(t.root)
+def _cut_pairs(kids) -> list[tuple[int, int]]:
+    """A node's marginals cut 0, 1, ..., height generations below it, from its
+    children's lists; past a node's height its marginal stays constant."""
+    if not kids:
+        return [(1, 2)]
+    height = max(len(seq) for _, seq in kids)
+    return [(1, 2)] + [
+        bp_pair([(ct, seq[j] if j < len(seq) else seq[-1]) for ct, seq in kids])
+        for j in range(height)
+    ]
 
 
 def marginal_sequence(t: GWTree) -> list[Fraction]:
     """Root marginals of the depth-0, depth-2, ..., depth-2L truncations.
 
     Entry l is the exact marginal of the tree cut l variable generations
-    below the root; entry 0 is 1/2. One bottom-up pass serves all depths.
+    below the root; entry 0 is 1/2. One fold serves all depths.
     """
     if t.depth_limit is None:
         raise ValueError("marginal_sequence needs a truncated tree")
-    L = t.depth_limit
-    memo: dict[int, list[tuple[int, int]]] = {}
-    stack: list[tuple[GWNode, int]] = [(t.root, 0)]
-    while stack:
-        node, depth = stack[-1]
-        if id(node) in memo:
-            stack.pop()
-            continue
-        pending = [(c, depth + 1) for _, c in node.children if id(c) not in memo]
-        if pending:
-            stack.extend(pending)
-            continue
-        stack.pop()
-        margs = [(1, 2)]
-        for j in range(1, L - depth + 1):
-            margs.append(bp_pair((ct, memo[id(c)][j - 1]) for ct, c in node.children))
-        memo[id(node)] = margs
-    return [Fraction(a, b) for a, b in memo[id(t.root)]]
+    seq = fold(t.root, _cut_pairs)
+    seq = seq[:t.depth_limit + 1] + seq[-1:] * (t.depth_limit + 1 - len(seq))
+    return [Fraction(a, b) for a, b in seq]
 
 
 def truncate(t: GWTree, depth: int) -> GWTree:
@@ -247,36 +245,12 @@ def truncate(t: GWTree, depth: int) -> GWTree:
 
 
 def from_tree_formula(t: TreeFormula, d: float) -> GWTree:
-    """Expand a (possibly shared) tree-formula into a complete sampled-tree shape."""
-
-    def expand(node) -> GWNode:
-        return GWNode(
-            children=[(ct, expand(c)) for ct, c in node.children], surviving=False
-        )
-
-    return GWTree(root=expand(t), depth_limit=None, d=d, conditioned="none")
+    """A (possibly shared) tree-formula as a complete sampled-tree shape; the
+    nodes are not copied."""
+    return GWTree(root=t, depth_limit=None, d=d)
 
 
 # -- probability of a fixed finite tree ---------------------------------------
-
-
-def _canonical_forms(root: GWNode) -> dict[int, tuple]:
-    memo: dict[int, tuple] = {}
-    stack = [root]
-    while stack:
-        node = stack[-1]
-        if id(node) in memo:
-            stack.pop()
-            continue
-        pending = [c for _, c in node.children if id(c) not in memo]
-        if pending:
-            stack.extend(pending)
-            continue
-        stack.pop()
-        memo[id(node)] = tuple(
-            sorted((tuple(ct), memo[id(c)]) for ct, c in node.children)
-        )
-    return memo
 
 
 def tree_probability(t: GWTree, d: float) -> float:
@@ -285,27 +259,23 @@ def tree_probability(t: GWTree, d: float) -> float:
     Per variable node and clause type, Poisson(d/4) offspring probability
     times the multinomial correction for repeated child isomorphism
     classes; the whole product collapses to
-    exp(-d*V) * (d/4)^E / prod(multiplicities!).
+    exp(-d*V) * (d/4)^(V-1) / prod(multiplicities!). One fold carries each
+    subtree's isomorphism class, node count and log multiplicity, so a
+    shared TreeFormula is never expanded.
     """
     if t.depth_limit is not None:
         raise ValueError("tree_probability needs a complete (finite) tree")
-    canon = _canonical_forms(t.root)
-    n_nodes = 0
-    n_edges = 0
-    log_mult = 0.0
-    stack = [t.root]
-    while stack:
-        node = stack.pop()
-        n_nodes += 1
-        n_edges += len(node.children)
-        groups: dict[tuple, int] = {}
-        for ct, c in node.children:
-            key = (tuple(ct), canon[id(c)])
-            groups[key] = groups.get(key, 0) + 1
-            stack.append(c)
-        for mult in groups.values():
-            log_mult += math.lgamma(mult + 1)
-    logp = -d * n_nodes + n_edges * math.log(d / 4.0) - log_mult
+    classes: dict[tuple, int] = {}  # isomorphism class of each subtree shape
+
+    def combine(kids):  # kids: (clause type, (class, nodes, log multiplicity))
+        keys = sorted((ct, cls) for ct, (cls, _, _) in kids)
+        log_mult = sum(lm for _, (_, _, lm) in kids)
+        log_mult += sum(math.lgamma(m + 1) for m in Counter(keys).values())
+        cls = classes.setdefault(tuple(keys), len(classes))
+        return cls, 1 + sum(n for _, (_, n, _) in kids), log_mult
+
+    _, n_nodes, log_mult = fold(t.root, combine)
+    logp = -d * n_nodes + (n_nodes - 1) * math.log(d / 4.0) - log_mult
     return math.exp(logp)
 
 

@@ -5,7 +5,8 @@ four types (s, s'): the parent appears in the clause with sign s, the child
 with sign s'. The root marginal of such a tree is always a rational in
 (0,1), and conversely `construct_rational_tree` realizes any target
 fraction as a root marginal. Sub-structures may be shared (the recursions
-only look downward), which keeps the constructed trees polynomial-size.
+only look downward), which keeps the constructed trees polynomial-size;
+every exact walk is one `fold`, which visits each distinct node once.
 """
 
 from __future__ import annotations
@@ -70,10 +71,16 @@ def bp_pair(entries) -> tuple[int, int]:
     return x // g, y // g
 
 
-def bp_root_marginal(root) -> Fraction:
-    """Exact root marginal by one bottom-up `bp_pair` pass; works on any node
-    with `.children`."""
-    memo: dict[int, tuple[int, int]] = {}
+def fold(root, combine, memo: dict | None = None):
+    """Value of `root` under a memoised post-order fold; works on any node
+    with `.children`.
+
+    Each distinct node (by identity) is visited once, after its children:
+    its value is combine([(clause type, child value), ...]). A caller can
+    pass `memo` (node id -> value) to share values across calls; it must
+    then keep the nodes it has seen alive.
+    """
+    memo = {} if memo is None else memo
     stack = [root]
     while stack:
         node = stack[-1]
@@ -85,12 +92,14 @@ def bp_root_marginal(root) -> Fraction:
             stack.extend(pending)
             continue
         stack.pop()
-        memo[id(node)] = bp_pair((ct, memo[id(c)]) for ct, c in node.children)
-    return Fraction(*memo[id(root)])
+        memo[id(node)] = combine([(ct, memo[id(c)]) for ct, c in node.children])
+    return memo[id(root)]
 
 
-def root_marginal(t: TreeFormula) -> Fraction:
-    return bp_root_marginal(t)
+def root_marginal(t) -> Fraction:
+    """Exact root marginal by one `bp_pair` fold; works on any node with
+    `.children`."""
+    return Fraction(*fold(t, bp_pair))
 
 
 def negate(t: TreeFormula, _cache: dict | None = None) -> TreeFormula:
@@ -99,24 +108,8 @@ def negate(t: TreeFormula, _cache: dict | None = None) -> TreeFormula:
     A caller constructing many overlapping trees can pass a shared cache so
     each node is negated at most once; the cache must outlive the inputs.
     """
-    memo = _cache if _cache is not None else {}
-    stack = [t]
-    while stack:
-        node = stack[-1]
-        if id(node) in memo:
-            stack.pop()
-            continue
-        pending = [c for _, c in node.children if id(c) not in memo]
-        if pending:
-            stack.extend(pending)
-            continue
-        stack.pop()
-        memo[id(node)] = TreeFormula(
-            children=tuple(
-                (ClauseType(-s, -sp), memo[id(c)]) for (s, sp), c in node.children
-            )
-        )
-    return memo[id(t)]
+    return fold(t, lambda kids: TreeFormula(
+        children=tuple((ClauseType(-s, -sp), c) for (s, sp), c in kids)), _cache)
 
 
 def join(t1: TreeFormula, t2: TreeFormula) -> TreeFormula:
@@ -173,20 +166,7 @@ def log_likelihood(t: TreeFormula) -> float:
 
 def expanded_size(t: TreeFormula) -> int:
     """Variable-node count of the fully expanded tree (shared nodes copied)."""
-    memo: dict[int, int] = {}
-    stack = [t]
-    while stack:
-        node = stack[-1]
-        if id(node) in memo:
-            stack.pop()
-            continue
-        pending = [c for _, c in node.children if id(c) not in memo]
-        if pending:
-            stack.extend(pending)
-            continue
-        stack.pop()
-        memo[id(node)] = 1 + sum(memo[id(c)] for _, c in node.children)
-    return memo[id(t)]
+    return fold(t, lambda kids: 1 + sum(n for _, n in kids))
 
 
 def to_formula(t: TreeFormula, cap: int = 1 << 16):

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import twosatlab
-from twosatlab import acceptance
+from twosatlab import acceptance, treebp
 from twosatlab.cli import main
 from twosatlab.densityev import read_population
 from twosatlab.util import child_env
@@ -183,6 +183,31 @@ def test_compare_unknown_population_kind_exits_invalid(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_compare_rejects_nan_in_mu_population(tmp_path, capsys):
+    good, bad = tmp_path / "good.pop", tmp_path / "bad.pop"
+    good.write_text("# pop v1 kind=MU d=0.8 gen=0 seed=0\n0.5\n0.25\n")
+    bad.write_text("# pop v1 kind=MU d=0.8 gen=0 seed=0\nnan\n0.25\n")
+    assert main(["compare", "--a", str(bad), "--b", str(good)]) == 2
+    err = capsys.readouterr().err
+    assert "invalid" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("text,cap", [
+    # a 40-variable chain over a component cap of 39
+    ("p 2sat 40 39\n" + "".join(f"{i} -{i + 1}\n" for i in range(1, 40)), "39"),
+    # a complete graph on 30 variables: min-degree width 30 over the cap of 22
+    ("p 2sat 30 435\n" + "".join(f"{i} {-j if (i + j) % 3 else j}\n"
+                                  for i in range(1, 31) for j in range(i + 1, 31)), None),
+])
+def test_marginals_resource_limit_in_process(tmp_path, capsys, text, cap):
+    path = tmp_path / "f.txt"
+    path.write_text(text)
+    argv = ["marginals", "--in", str(path)]
+    assert main(argv + (["--component-cap", cap] if cap else [])) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("resource limit:") and "Traceback" not in err
+
+
 def test_marginals_rejects_text_after_clauses(tmp_path, capsys):
     path = tmp_path / "f.txt"
     path.write_text("p 2sat 3 1\n1 2\n1 -1\ngarbage\n")
@@ -244,6 +269,23 @@ def test_tree_bp_deep_chain_in_process(tmp_path, capsys):
     for _ in range(depth):
         a, b = b, a + b
     assert payload["marginal"] == f"{a}/{b}"
+
+
+def test_tree_bp_marginal_past_int_str_limit(tmp_path, capsys):
+    # a complete binary [++] tree of depth 14: about 7,000 digits per term
+    t = treebp.leaf()
+    for _ in range(14):
+        t = treebp.TreeFormula(children=((treebp.ClauseType(1, 1), t),) * 2)
+    path = tmp_path / "binary.txt"
+    path.write_text(treebp.format_tree(t) + "\n")
+    limit = sys.get_int_max_str_digits()
+    try:
+        assert main(["tree-bp", "--in", str(path)]) == 0
+        q = treebp.root_marginal(t)
+        assert len(str(q.denominator)) > 4300
+        assert json.loads(capsys.readouterr().out)["marginal"] == f"{q.numerator}/{q.denominator}"
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_cli_import_skips_scipy():

@@ -36,6 +36,8 @@ def test_population_validation():
     with pytest.raises(ValueError):
         Population(samples=np.array([0.5, 1.1]), kind=Kind.MU)
     with pytest.raises(ValueError):
+        Population(samples=np.array([np.nan, 0.5]), kind=Kind.MU)
+    with pytest.raises(ValueError):
         Population(samples=np.array([np.inf]), kind=Kind.THETA)
     # forced finite-formula marginals make the closed endpoints legal...
     boundary = Population(samples=np.array([0.0, 0.5, 1.0]), kind=Kind.MU)
@@ -133,6 +135,18 @@ def test_coupled_contraction_l1():
         w1_out = float(np.mean(diff))
         se = float(diff.std() / math.sqrt(diff.size))
         assert w1_out <= (d / 2.0) * w1_in + 3 * se
+
+
+def test_coupled_shares_randomness():
+    # both sides are sorted before resampling, so a shuffled copy of the same
+    # samples must come out identical when D, signs and indices are shared
+    rng = substream(18, 0)
+    for d in (0.5, 1.9):
+        p = Population(samples=rng.normal(0.0, 1.0, 5000), kind=Kind.THETA, d=d)
+        q = Population(samples=rng.permutation(p.samples), kind=Kind.THETA, d=d)
+        oa, ob = apply_ll_coupled(p, q, d, seed=23)
+        assert np.array_equal(oa.samples, ob.samples)
+        assert not np.array_equal(oa.samples, apply_ll_coupled(p, q, d, seed=24)[0].samples)
 
 
 def test_consistency_square():

@@ -24,13 +24,18 @@ from twosatlab import (
 from twosatlab.densityev import Kind, Population
 from twosatlab.analysis import compare_distributions
 from twosatlab.gwsim import (
-    _canonical_forms,
     _drop_trees,
     _forest_root_pairs,
     _sample_extinct_forest,
+    from_tree_formula,
+)
+from twosatlab.treebp import (
+    CLAUSE_TYPES,
+    construct_rational_tree,
+    fold,
+    format_tree,
     root_marginal,
 )
-from twosatlab.treebp import CLAUSE_TYPES, bp_root_marginal, format_tree
 from twosatlab.numerics import psi
 from twosatlab.util import substream
 
@@ -114,7 +119,7 @@ def test_sequence_matches_truncations():
         assert seq[0] == Fraction(1, 2)
         for ell in range(5):
             cut = truncate(t, ell)
-            assert root_marginal(cut) == seq[ell]
+            assert root_marginal(cut.root) == seq[ell]
             assert marginal_sequence(cut) == seq[: ell + 1]
 
 
@@ -224,7 +229,7 @@ def test_forest_pairs_match_tree_bp(d):
     assert alive.all() and any(r.children for r in roots)
     pairs = _forest_root_pairs(levels, count)
     assert not levels  # consumed
-    assert [Fraction(a, b) for a, b in pairs] == [bp_root_marginal(r) for r in roots]
+    assert [Fraction(a, b) for a, b in pairs] == [root_marginal(r) for r in roots]
     assert all(math.gcd(a, b) == 1 for a, b in pairs)
 
 
@@ -355,9 +360,40 @@ def test_tree_probability_single_clause_tree():
     assert tree_probability(t, 1.0) == pytest.approx(0.25 * math.exp(-2.0), rel=1e-12)
 
 
+def test_tree_probability_multiplicity_needs_equal_subtrees():
+    # two same-type children get the 1/2! correction only when their
+    # subtrees are isomorphic
+    ct, d = ClauseType(1, -1), 0.9
+    twins = GWNode(children=[(ct, GWNode()), (ct, GWNode())])
+    assert tree_probability(GWTree(root=twins, depth_limit=None, d=d), d) == pytest.approx(
+        math.exp(-3 * d) * (d / 4) ** 2 / 2, rel=1e-12)
+    mixed = GWNode(children=[(ct, GWNode()), (ct, GWNode(children=[(ct, GWNode())]))])
+    assert tree_probability(GWTree(root=mixed, depth_limit=None, d=d), d) == pytest.approx(
+        math.exp(-4 * d) * (d / 4) ** 3, rel=1e-12)
+
+
 def test_tree_probability_rejects_truncated():
     with pytest.raises(ValueError):
         tree_probability(sample_truncated(1.0, 2, seed=1), 1.0)
+
+
+def _expand(node) -> GWNode:
+    """Copy of a (possibly shared) tree with every shared node copied."""
+    return GWNode(children=[(ct, _expand(c)) for ct, c in node.children])
+
+
+def test_tree_probability_shared_matches_expanded():
+    # a shared TreeFormula is folded as it is; its expanded copy is the oracle
+    for b in range(2, 17):
+        for a in range(1, b):
+            if math.gcd(a, b) != 1:
+                continue
+            t = construct_rational_tree(a, b)
+            for d in (0.8, 1.5):
+                assert from_tree_formula(t, d).root is t
+                shared = tree_probability(from_tree_formula(t, d), d)
+                copied = GWTree(root=_expand(t), depth_limit=None, d=d)
+                assert shared == pytest.approx(tree_probability(copied, d), rel=1e-12)
 
 
 def _count_nodes(node):
@@ -395,16 +431,22 @@ def _sample_shape_capped(rng, d, max_nodes, max_depth):
     return root
 
 
+def _canonical_form(root) -> tuple:
+    """Nested sorted tuple of (clause type, child form): equal exactly for
+    isomorphic typed trees."""
+    return fold(root, lambda kids: tuple(sorted((tuple(ct), c) for ct, c in kids)))
+
+
 def shape_frequency(target: GWTree, d: float, n: int, seed: int) -> float:
     """Independent Monte Carlo oracle: fraction of sampled trees equal to target."""
-    want = _canonical_forms(target.root)[id(target.root)]
+    want = _canonical_form(target.root)
     cap_nodes = _count_nodes(target.root)
     cap_depth = _depth(target.root)
     rng = substream(seed, 0)
     hits = 0
     for _ in range(n):
         root = _sample_shape_capped(rng, d, cap_nodes, cap_depth)
-        if root is not None and _canonical_forms(root)[id(root)] == want:
+        if root is not None and _canonical_form(root) == want:
             hits += 1
     return hits / n
 

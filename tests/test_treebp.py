@@ -21,7 +21,7 @@ from twosatlab import (
     to_formula,
 )
 from twosatlab.acceptance import random_tree
-from twosatlab.treebp import expanded_size
+from twosatlab.treebp import expanded_size, fold
 from twosatlab.util import substream
 
 
@@ -113,6 +113,10 @@ def test_construct_shared_representation_small():
         stack.extend(c for _, c in node.children)
     assert len(seen) <= 31 * 31
     assert expanded_size(t) > len(seen)
+    # the fold visits each distinct node once, however often it is shared
+    calls = []
+    assert fold(t, lambda kids: calls.append(1) or len(kids)) == len(t.children)
+    assert len(calls) == len(seen)
 
 
 def test_log_likelihood():
