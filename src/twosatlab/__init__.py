@@ -42,7 +42,6 @@ from .gwsim import (
     GWTree,
     coupled_increment_stats,
     extinct_marginal_samples,
-    extinct_theta_population,
     extinction_probability,
     from_tree_formula,
     marginal_sequence,

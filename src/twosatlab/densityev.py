@@ -8,6 +8,9 @@ marginal probabilities on (0,1). One generation of the recursion is
 
 with independent uniform signs s, s' and theta_i resampled from the input
 population; the MU-coordinate twin draws two Poisson(d/2) packs of factors.
+Every Poisson pack of a population is Poissonized (`poisson_owners`): one
+Poisson(lam * size) total of terms, each given a uniform owner, so the
+per-output counts are i.i.d. Poisson(lam) without a per-output draw.
 Iterating from the point mass at zero drives the population to the unique
 fixed point, monitored in the exact Wasserstein-2 metric between equal-size
 empirical measures (root-mean-square of sorted-sample differences).
@@ -70,15 +73,28 @@ def point_population(value: float, size: int, kind: Kind, d: float | None = None
     return Population(samples=np.full(size, float(value)), kind=kind, d=d)
 
 
-def resample_log_terms(rng, values: np.ndarray, counts: np.ndarray):
-    """Per output k, sum of counts[k] signed clause terms over resampled values."""
-    total = int(counts.sum())
-    idx = rng.integers(0, values.size, size=total)
-    s = 2 * rng.integers(0, 2, size=total) - 1
-    sp = 2 * rng.integers(0, 2, size=total) - 1
-    terms = s * log_clause_term(values[idx], sp)
-    owner = np.repeat(np.arange(counts.size), counts)
-    return np.bincount(owner, weights=terms, minlength=counts.size)
+def poisson_owners(rng, lam: float, size: int) -> np.ndarray:
+    """Owner index in [0, size) of each term of `size` i.i.d. Poisson(lam) packs.
+
+    One Poisson(lam * size) total with i.i.d. uniform owners: the per-owner
+    counts of a Poisson number of uniform labels are independent Poisson(lam),
+    and a pack's terms come in random order, not contiguous.
+    """
+    return rng.integers(0, size, size=rng.poisson(lam * size))
+
+
+def resample_log_terms(rng, values: np.ndarray, owner: np.ndarray, size: int):
+    """Per output k < size, the sum of s * log_clause_term(values[i], s') over
+    the terms with owner k, each with a resampled value and uniform signs."""
+    idx = rng.integers(0, values.size, size=owner.size)
+    s, sp = random_signs(rng, owner.size)
+    return np.bincount(owner, weights=s * log_clause_term(values[idx], sp), minlength=size)
+
+
+def random_signs(rng, n: int):
+    """Independent uniform +-1 signs (s, s') of n clauses, from one 2-bit draw."""
+    bits = rng.integers(0, 4, size=n, dtype=np.int8)
+    return (bits & 1) * 2.0 - 1.0, (bits >> 1) * 2.0 - 1.0
 
 
 def apply_ll(p: Population, d: float, seed: int) -> Population:
@@ -86,8 +102,7 @@ def apply_ll(p: Population, d: float, seed: int) -> Population:
     if p.kind is not Kind.THETA:
         raise ValueError("apply_ll needs a THETA population")
     rng = substream(seed, 0x11)
-    counts = rng.poisson(d, size=p.size)
-    out = resample_log_terms(rng, p.samples, counts)
+    out = resample_log_terms(rng, p.samples, poisson_owners(rng, d, p.size), p.size)
     return Population(samples=out, kind=Kind.THETA, d=d,
                       generation=p.generation + 1, seed=seed)
 
@@ -97,15 +112,15 @@ def apply_ll_coupled(pa: Population, pb: Population, d: float, seed: int):
 
     Inputs are paired by sorted order (the optimal coupling of equal-size
     empirical measures); D, signs and resampling indices are shared: each
-    side resamples with its own copy of the generator taken after D is drawn.
+    side resamples with its own copy of the generator, taken after the owners.
     """
     if pa.size != pb.size:
         raise ValueError("coupled inputs must have equal size")
     rng = substream(seed, 0x12)
-    counts = rng.poisson(d, size=pa.size)
+    owner = poisson_owners(rng, d, pa.size)
     return tuple(
         Population(
-            samples=resample_log_terms(copy.deepcopy(rng), np.sort(p.samples), counts),
+            samples=resample_log_terms(copy.deepcopy(rng), np.sort(p.samples), owner, p.size),
             kind=Kind.THETA, d=d, generation=p.generation + 1, seed=seed,
         )
         for p in (pa, pb)
@@ -121,15 +136,12 @@ def apply_de(p: Population, d: float, seed: int) -> Population:
     rng = substream(seed, 0x0D)
     logs = np.log(p.samples)
 
-    def pack(counts):
-        total = int(counts.sum())
-        idx = rng.integers(0, p.size, size=total)
-        owner = np.repeat(np.arange(p.size), counts)
+    def pack():
+        owner = poisson_owners(rng, d / 2.0, p.size)
+        idx = rng.integers(0, p.size, size=owner.size)
         return np.bincount(owner, weights=logs[idx], minlength=p.size)
 
-    log_minus = pack(rng.poisson(d / 2.0, size=p.size))
-    log_plus = pack(rng.poisson(d / 2.0, size=p.size))
-    out = psi(log_minus - log_plus)
+    out = psi(pack() - pack())  # log_minus - log_plus, drawn in that order
     return Population(samples=out, kind=Kind.MU, d=d,
                       generation=p.generation + 1, seed=seed)
 
@@ -154,7 +166,11 @@ def wasserstein2(a: Population, b: Population) -> float:
         raise ValueError("kind mismatch")
     if a.size != b.size:
         raise ValueError(f"size mismatch: {a.size} vs {b.size}")
-    diff = np.sort(a.samples) - np.sort(b.samples)
+    return _w2_sorted(np.sort(a.samples), np.sort(b.samples))
+
+
+def _w2_sorted(a: np.ndarray, b: np.ndarray) -> float:
+    diff = a - b
     return float(np.sqrt(np.mean(diff * diff)))
 
 
@@ -165,12 +181,6 @@ class FixpointResult:
     converged: bool = False
     noise_floor: float = 0.0
     iterations: int = 0
-
-    def trace_rows(self):
-        return [
-            {"iter": it, "w2_step": w2, "mass_at_half": mass}
-            for it, w2, mass in self.trace
-        ]
 
 
 def fixpoint(
@@ -187,7 +197,8 @@ def fixpoint(
     starts from the point mass at 1/2 in MU coordinates. The stopping rule
     compares the consecutive-step W2 against tol plus a noise floor
     estimated from two independent regenerations of the same population,
-    because the step size never falls below the Monte Carlo floor.
+    because the step size never falls below the Monte Carlo floor. Each
+    population is sorted once; the next iteration reuses the sorted copy.
     """
     if not 0 < d < 2:
         raise ValueError(f"need d in (0,2), got {d}")
@@ -203,25 +214,22 @@ def fixpoint(
         raise ValueError(f"unknown operator {operator!r}")
 
     result = FixpointResult(population=cur)
+    cur_sorted = np.sort(cur.samples)
     for it in range(1, max_iter + 1):
-        nxt = step(cur, d, seed=_mix(seed, it, 0))
-        again = step(cur, d, seed=_mix(seed, it, 1))
-        floor = wasserstein2(nxt, again)
-        w2 = wasserstein2(cur, nxt)
+        nxt = step(cur, d, seed=int(substream(seed, it, 0).integers(0, 2**62)))
+        again = step(cur, d, seed=int(substream(seed, it, 1).integers(0, 2**62)))
+        nxt_sorted = np.sort(nxt.samples)
+        floor = _w2_sorted(nxt_sorted, np.sort(again.samples))
+        w2 = _w2_sorted(cur_sorted, nxt_sorted)
         result.trace.append((it, w2, nxt.mass_at(mass_ref)))
         result.noise_floor = floor
         result.iterations = it
-        cur = nxt
+        cur, cur_sorted = nxt, nxt_sorted
         if w2 <= tol + floor:
             result.converged = True
             break
     result.population = cur
     return result
-
-
-def _mix(seed: int, *path: int) -> int:
-    h = np.random.SeedSequence([int(seed), *map(int, path)])
-    return int(h.generate_state(1, dtype=np.uint64)[0] >> 1)
 
 
 # -- population text files ----------------------------------------------------

@@ -20,6 +20,11 @@ generations bottom-up into reduced integer pairs with `treebp.bp_pair`.
 A tree with more than node_cap nodes leaves the frontier as soon as it
 passes the cap and comes back as None.
 
+The float theta recursions (`coupled_increment_stats`,
+`survival_theta_population`) draw their Poisson packs Poissonized
+(`densityev.poisson_owners`); only the zero-truncated pack of surviving
+children is drawn per node, and the extinct forest needs ascending parents.
+
 Exact values of a single node-object tree (`marginal_sequence`,
 `tree_probability`) are each one `treebp.fold`, memoised by node identity,
 so they take shared `TreeFormula` trees as they are, without expanding them.
@@ -35,7 +40,7 @@ from itertools import islice
 
 import numpy as np
 
-from .densityev import resample_log_terms
+from .densityev import poisson_owners, random_signs, resample_log_terms
 from .numerics import log_clause_term
 from .treebp import CLAUSE_TYPES, TreeFormula, bp_pair, fold
 from .util import ResourceLimitError, chunk_sizes, parallel_map, substream
@@ -230,18 +235,20 @@ def marginal_sequence(t: GWTree) -> list[Fraction]:
 
 
 def truncate(t: GWTree, depth: int) -> GWTree:
-    """Structural copy cut at variable generation `depth`."""
+    """Structural copy cut at variable generation `depth`, made level by level."""
     if t.depth_limit is not None and depth > t.depth_limit:
         raise ValueError("cannot truncate deeper than the sampled depth")
-
-    def copy(node: GWNode, budget: int) -> GWNode:
-        out = GWNode(surviving=node.surviving)
-        if budget > 0:
-            out.children = [(ct, copy(c, budget - 1)) for ct, c in node.children]
-        return out
-
-    return GWTree(root=copy(t.root, depth), depth_limit=depth, d=t.d,
-                  conditioned=t.conditioned)
+    root = GWNode(surviving=t.root.surviving)
+    frontier = [(t.root, root)]
+    for _ in range(depth):
+        nxt = []
+        for node, out in frontier:
+            for ct, c in node.children:
+                child = GWNode(surviving=c.surviving)
+                out.children.append((ct, child))
+                nxt.append((c, child))
+        frontier = nxt
+    return GWTree(root=root, depth_limit=depth, d=t.d, conditioned=t.conditioned)
 
 
 def from_tree_formula(t: TreeFormula, d: float) -> GWTree:
@@ -285,47 +292,40 @@ def tree_probability(t: GWTree, d: float) -> float:
 def _forest_theta_matrix(d: float, L: int, count: int, seed: int) -> np.ndarray:
     """Root theta values of `count` independent trees at all depths 0..L+1.
 
-    Samples the forest level by level as flat arrays, then runs the
-    log-likelihood recursion bottom-up, vectorized across the whole level;
-    column l of the result is theta at truncation depth l of the same tree,
-    which realizes the coupling between successive depths.
+    Samples the forest level by level as flat arrays, each level's offspring
+    a Poissonized pack, then runs the log-likelihood recursion bottom-up,
+    vectorized across the whole level. Row l of a level holds its nodes'
+    theta at cut depth l; the depth-1 row needs no transcendental. Column k
+    of the result is tree k at every depth of one realization, which
+    couples successive depths.
     """
     rng = substream(seed, 0x7F)
     top = L + 1
     sizes = [count]
     edges = []  # per generation: (parent_idx, s, s_prime)
     for _ in range(top):
-        n = sizes[-1]
-        if n == 0:
-            sizes.append(0)
-            edges.append((np.zeros(0, np.int64), np.zeros(0), np.zeros(0)))
-            continue
-        counts = rng.poisson(d, size=n)
-        total = int(counts.sum())
-        parent = np.repeat(np.arange(n), counts)
-        s = 2.0 * rng.integers(0, 2, size=total) - 1.0
-        sp = 2.0 * rng.integers(0, 2, size=total) - 1.0
-        edges.append((parent, s, sp))
-        sizes.append(total)
+        parent = poisson_owners(rng, d, sizes[-1])
+        edges.append((parent, *random_signs(rng, parent.size)))
+        sizes.append(parent.size)
 
-    theta = np.zeros((sizes[top], 1))
+    theta = np.zeros((1, sizes[top]))
     for g in range(top - 1, -1, -1):
         parent, s, sp = edges[g]
-        cols = top - g + 1
-        up = np.zeros((sizes[g], cols))
+        up = np.zeros((top - g + 1, sizes[g]))
         if parent.size:
-            contrib = s[:, None] * log_clause_term(theta, sp[:, None])
-            for j in range(theta.shape[1]):
-                up[:, j + 1] += np.bincount(parent, weights=contrib[:, j],
-                                            minlength=sizes[g])
+            # cut depth 1 sees every child at theta 0, where the term is -log 2
+            up[1] = -math.log(2.0) * np.bincount(parent, weights=s, minlength=sizes[g])
+            for j in range(2, up.shape[0]):
+                up[j] = np.bincount(parent, weights=s * log_clause_term(theta[j - 1], sp),
+                                    minlength=sizes[g])
         theta = up
-    return theta  # shape (count, L+2)
+    return theta  # shape (L+2, count)
 
 
 def _increment_chunk(args) -> np.ndarray:
     d, L, count, seed = args
     theta = _forest_theta_matrix(d, L, count, seed)
-    return np.abs(np.diff(theta, axis=1)).sum(axis=0)
+    return np.abs(np.diff(theta, axis=0)).sum(axis=1)
 
 
 def coupled_increment_stats(
@@ -354,16 +354,6 @@ def coupled_increment_stats(
     return [(l, float(sums[l] / N)) for l in range(L + 1)]
 
 
-def extinct_theta_population(d: float, L: int, size: int, seed: int) -> np.ndarray:
-    """Population-dynamics theta samples of extinction-conditioned trees, depth L."""
-    lam = d * extinction_probability(d).eta
-    rng = substream(seed, 0x5B)
-    cur = np.zeros(size)
-    for _ in range(L):
-        cur = resample_log_terms(rng, cur, rng.poisson(lam, size=size))
-    return cur
-
-
 def survival_theta_population(d: float, L: int, size: int, seed: int) -> np.ndarray:
     """Population-dynamics theta samples conditioned on survival, depth L.
 
@@ -385,11 +375,9 @@ def survival_theta_population(d: float, L: int, size: int, seed: int) -> np.ndar
         while redo.any():
             live_counts[redo] = rng.poisson(d * info.zeta, size=int(redo.sum()))
             redo = live_counts == 0
-        dead_counts = rng.poisson(d * info.eta, size=size)
-        new_inf = resample_log_terms(rng, inf, live_counts) + resample_log_terms(
-            rng, fin, dead_counts
-        )
-        fin = resample_log_terms(rng, fin, rng.poisson(d * info.eta, size=size))
+        new_inf = (resample_log_terms(rng, inf, np.repeat(np.arange(size), live_counts), size)
+                   + resample_log_terms(rng, fin, poisson_owners(rng, d * info.eta, size), size))
+        fin = resample_log_terms(rng, fin, poisson_owners(rng, d * info.eta, size), size)
         inf = new_inf
     return inf
 

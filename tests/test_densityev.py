@@ -22,7 +22,7 @@ from twosatlab import (
     wasserstein2,
     write_population,
 )
-from twosatlab.densityev import point_population, zeros_population
+from twosatlab.densityev import point_population, poisson_owners, zeros_population
 from twosatlab.util import substream
 
 LOG2 = math.log(2.0)
@@ -60,6 +60,17 @@ def test_apply_ll_symmetric_and_atom_at_zero():
     out = apply_ll(p, 1.0, seed=4)
     assert out.mass_at(0.0) >= math.exp(-1.0) - 0.01
     assert abs(out.samples.mean()) <= 3 * out.samples.std() / math.sqrt(out.size)
+
+
+@pytest.mark.parametrize("lam", [0.5, 1.5])
+def test_poisson_owners_counts_are_poisson(lam):
+    size = 200_000
+    counts = np.bincount(poisson_owners(substream(19, 0), lam, size), minlength=size)
+    hi = int(counts.max()) + 1
+    pmf = np.array([math.exp(-lam) * lam**k / math.factorial(k) for k in range(hi)])
+    freq = np.bincount(counts, minlength=hi) / size
+    tv = 0.5 * (np.abs(freq - pmf).sum() + (1.0 - pmf.sum()))
+    assert tv <= 0.005
 
 
 def test_apply_ll_kind_check():
@@ -186,6 +197,16 @@ def test_fixpoint_trace_and_floor():
     assert res.noise_floor > 0.0
     iters = [row[0] for row in res.trace]
     assert iters == list(range(1, len(iters) + 1))
+
+
+def test_fixpoint_trace_w2_is_the_step_between_returned_populations():
+    # the cached sorted copy of each population must be the one stepped from
+    full = fixpoint(1.5, 5000, max_iter=60, tol=1e-3, seed=45)
+    assert full.iterations >= 3
+    for k in range(1, full.iterations + 1):
+        before = fixpoint(1.5, 5000, max_iter=k - 1, tol=1e-3, seed=45).population
+        after = fixpoint(1.5, 5000, max_iter=k, tol=1e-3, seed=45).population
+        assert full.trace[k - 1][1] == wasserstein2(before, after)
 
 
 def test_fixpoint_validates():

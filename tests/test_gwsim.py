@@ -123,6 +123,25 @@ def test_sequence_matches_truncations():
             assert marginal_sequence(cut) == seq[: ell + 1]
 
 
+def test_truncate_deep_chain_is_iterative():
+    # a 3000-deep chain: a recursive copy would overflow the interpreter stack
+    root = GWNode()
+    node = root
+    for _ in range(3000):
+        child = GWNode()
+        node.children.append((ClauseType(-1, 1), child))
+        node = child
+    full = marginal_sequence(GWTree(root=root, depth_limit=3000, d=1.0))
+    cut = truncate(GWTree(root=root, depth_limit=None, d=1.0), 1500)
+    assert cut.depth_limit == 1500
+    depth, node = 0, cut.root
+    while node.children:
+        (_, node), = node.children
+        depth += 1
+    assert depth == 1500
+    assert marginal_sequence(cut) == full[:1501]
+
+
 def test_sequence_decomposition_identity():
     # root marginal at depth l from the children's depth-(l-1) marginals,
     # split by the sign the root carries in each clause
@@ -478,6 +497,28 @@ def test_increment_ratios_bounded():
     ratios = [means[l] / means[l - 1] for l in range(1, 7)]
     assert all(r <= 0.55 for r in ratios)
     assert means[6] < means[0]
+
+
+@pytest.mark.parametrize("d", [1.0, 1.5])
+def test_increments_match_exact_sequence_oracle(d):
+    # oracle: |phi| increments of the exact marginal sequences of node-object
+    # trees, an independent sampler and an exact Fraction recursion
+    def phi_frac(q):
+        return math.log(q.numerator) - math.log(q.denominator - q.numerator)
+
+    incs = np.array([
+        np.abs(np.diff([phi_frac(q) for q in marginal_sequence(sample_truncated(d, 4, k))]))
+        for k in range(3000)
+    ])
+    got = np.array([v for _, v in coupled_increment_stats(d, 3, 40_000, seed=12)])
+    se = incs.std(axis=0) * math.sqrt(1 / 3000 + 1 / 40_000)
+    assert np.all(np.abs(got - incs.mean(axis=0)) <= 4 * se)
+
+
+def test_increment_stats_worker_invariant():
+    one = coupled_increment_stats(1.5, 4, 3000, seed=13, chunk=700, workers=1)
+    two = coupled_increment_stats(1.5, 4, 3000, seed=13, chunk=700, workers=2)
+    assert one == two
 
 
 def test_increment_stats_validate():
