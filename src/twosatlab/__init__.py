@@ -18,7 +18,6 @@ from .densityev import (
     apply_ll,
     apply_ll_coupled,
     fixpoint,
-    phi_push,
     psi_push,
     read_population,
     wasserstein2,

@@ -8,7 +8,6 @@ Quick mode shrinks Monte Carlo sample counts but keeps every tolerance.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 import subprocess
@@ -19,9 +18,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from .analysis import compare_distributions, detect_atoms, max_cluster_mass
+from .analysis import compare_distributions, detect_atoms, max_cluster_mass, support_coverage
 from .densityev import Kind, Population, fixpoint, psi_push
-from .formula import count_solutions, exact_marginals, generate_formula, is_satisfiable
+from .formula import (count_solutions, empirical_marginal_measure, exact_marginals,
+                      generate_formula, is_satisfiable)
 from .gwsim import (
     coupled_increment_stats,
     extinct_marginal_samples,
@@ -269,8 +269,7 @@ def criterion_07_continuous_no_atoms(ctx: Context) -> CriterionResult:
 
 def criterion_08_full_support(ctx: Context) -> CriterionResult:
     mu = ctx.artifacts["continuous_mu"]
-    hist, _ = np.histogram(mu, bins=SUPPORT_BINS, range=(0.0, 1.0))
-    nonempty = int(np.count_nonzero(hist))
+    nonempty = support_coverage(Population(samples=mu, kind=Kind.MU), SUPPORT_BINS)["nonempty"]
     eta = extinction_probability(1.5).eta
     ok = nonempty == SUPPORT_BINS and ETA_RANGE[0] <= eta <= ETA_RANGE[1]
     return CriterionResult(
@@ -297,16 +296,12 @@ def criterion_10_weak_convergence(ctx: Context) -> CriterionResult:
     for s in range(seeds):
         f = generate_formula(n, 0.8, seed=ctx.seed * 1000 + s)
         try:
-            marg = exact_marginals(f)
+            pop = empirical_marginal_measure(f, d=0.8)
         except ResourceLimitError:
             continue
-        if marg is None:
+        if pop is None:
             continue
         successes += 1
-        pop = Population(
-            samples=np.array([float(marg[v]) for v in range(1, n + 1)]),
-            kind=Kind.MU, d=0.8,
-        )
         w1s.append(compare_distributions(pop, gw_pop)["w1"])
     ok = (successes >= FORMULA_SUCCESS_FRACTION * seeds
           and all(w <= FORMULA_W1_TOL for w in w1s))

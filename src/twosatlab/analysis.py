@@ -10,9 +10,8 @@ discrete part (weight eta) and the survival-conditioned continuous part
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
 import numpy as np
 

@@ -14,13 +14,11 @@ import argparse
 import json
 import secrets
 import sys
-from dataclasses import asdict, dataclass
-from fractions import Fraction
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import analysis, densityev, formula, gwsim, treebp
-from .densityev import Kind, Population
 from .numerics import psi
 from .util import ResourceLimitError, default_workers, format_double
 
@@ -35,11 +33,8 @@ class RunConfig:
     subcommand: str
     params: dict
     seed: int | None
-    workers: int = 1
 
     def as_dict(self):
-        # embedded configs omit the worker count: results are worker-invariant,
-        # so artifacts must stay byte-identical for any parallelism
         return {"subcommand": self.subcommand, "params": self.params, "seed": self.seed}
 
 
@@ -52,6 +47,8 @@ def _resolve_seed(args) -> int | None:
 
 
 def _config(args, name: str) -> RunConfig:
+    # embedded configs omit the worker count: results are worker-invariant,
+    # so artifacts must stay byte-identical for any parallelism
     skip = {"func", "out", "emit_trace", "hist", "subcommand", "seed", "workers"}
     params = {
         k: v for k, v in vars(args).items() if k not in skip and not k.startswith("_")
@@ -60,7 +57,6 @@ def _config(args, name: str) -> RunConfig:
         subcommand=name,
         params=params,
         seed=getattr(args, "seed", None),
-        workers=getattr(args, "workers", 1),
     )
 
 

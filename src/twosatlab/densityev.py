@@ -11,6 +11,9 @@ population; the MU-coordinate twin draws two Poisson(d/2) packs of factors.
 Every Poisson pack of a population is Poissonized (`poisson_owners`): one
 Poisson(lam * size) total of terms, each given a uniform owner, so the
 per-output counts are i.i.d. Poisson(lam) without a per-output draw.
+A THETA term is one uniform key into a `clause_table` (value and s'), and
+its sign s comes from Poisson splitting (`split_packs`), so no term pays a
+transcendental or a sign draw; a zero-truncated pack is exact thinning.
 Iterating from the point mass at zero drives the population to the unique
 fixed point, monitored in the exact Wasserstein-2 metric between equal-size
 empirical measures (root-mean-square of sorted-sample differences).
@@ -18,15 +21,15 @@ empirical measures (root-mean-square of sorted-sample differences).
 
 from __future__ import annotations
 
-import copy
 import enum
+import math
 from dataclasses import dataclass, field, replace
 from typing import IO
 
 import numpy as np
 
-from .numerics import log_clause_term, phi, psi
-from .util import format_double, substream
+from .numerics import psi
+from .util import substream
 
 
 class Kind(enum.Enum):
@@ -83,28 +86,57 @@ def poisson_owners(rng, lam: float, size: int) -> np.ndarray:
     return rng.integers(0, size, size=rng.poisson(lam * size))
 
 
-def resample_log_terms(rng, values: np.ndarray, owner: np.ndarray, size: int):
-    """Per output k < size, the sum of s * log_clause_term(values[i], s') over
-    the terms with owner k, each with a resampled value and uniform signs."""
-    idx = rng.integers(0, values.size, size=owner.size)
-    s, sp = random_signs(rng, owner.size)
-    return np.bincount(owner, weights=s * log_clause_term(values[idx], sp), minlength=size)
+def zero_truncated_owners(rng, lam: float, size: int) -> np.ndarray:
+    """Owners of the terms of `size` i.i.d. zero-truncated Poisson(lam) packs:
+    a rate-lam process on [0, 1] given a point has its first at T =
+    -log1p(-U (1 - e^-lam)) / lam, then the points after T of a fresh one."""
+    first = -np.log1p(-rng.random(size) * -math.expm1(-lam)) / lam
+    later = poisson_owners(rng, lam, size)
+    return np.concatenate([np.arange(size), later[rng.random(later.size) > first[later]]])
 
 
-def random_signs(rng, n: int):
-    """Independent uniform +-1 signs (s, s') of n clauses, from one 2-bit draw."""
-    bits = rng.integers(0, 4, size=n, dtype=np.int8)
-    return (bits & 1) * 2.0 - 1.0, (bits >> 1) * 2.0 - 1.0
+def clause_table(values) -> np.ndarray:
+    """[log_clause_term(v, +1) ... | log_clause_term(v, -1) ...] over the last
+    axis, bit for bit, with one log1p(exp(-|v|)) per value: key k of n values
+    is value k mod n with s' = +1 below n, -1 from n."""
+    v = np.asarray(values, dtype=float)[..., None, :]
+    soft = np.abs(v)  # in place from here: fresh pages cost more than the arithmetic
+    np.log1p(np.exp(np.negative(soft, out=soft), out=soft), out=soft)
+    out = np.concatenate([v, v], axis=-2)
+    np.negative(out[..., :1, :], out=out[..., :1, :])  # x = -s' v
+    np.maximum(out, 0.0, out=out)
+    out += soft
+    return np.negative(out, out=out).reshape(v.shape[:-2] + (-1,))
+
+
+def split_packs(rng, table: np.ndarray, lam: float, size: int):
+    """Slot and entry of each term of `size` Poisson(lam) packs of uniformly
+    keyed table entries with uniform signs s: slot k holds output k's s = +1
+    terms, slot size + k its s = -1 terms, two independent Poisson(lam/2)
+    packs (Poisson splitting)."""
+    m = rng.poisson(lam * size)
+    # keys before slots: the key array is freed before the slot array exists
+    entry = table.take(rng.integers(0, table.size, size=m))
+    return rng.integers(0, 2 * size, size=m), entry
+
+
+def resample_log_terms(slot: np.ndarray, entry: np.ndarray, size: int) -> np.ndarray:
+    """Per output k < size, the entries of slot k minus those of slot size + k."""
+    sums = np.bincount(slot, weights=entry, minlength=2 * size)
+    return sums[:size] - sums[size:]
+
+
+def _ll_generation(p: Population, values: np.ndarray, d: float, seed: int, path: int):
+    terms = split_packs(substream(seed, path), clause_table(values), d, p.size)
+    return Population(samples=resample_log_terms(*terms, p.size), kind=Kind.THETA, d=d,
+                      generation=p.generation + 1, seed=seed)
 
 
 def apply_ll(p: Population, d: float, seed: int) -> Population:
     """One generation of the log-likelihood-ratio recursion."""
     if p.kind is not Kind.THETA:
         raise ValueError("apply_ll needs a THETA population")
-    rng = substream(seed, 0x11)
-    out = resample_log_terms(rng, p.samples, poisson_owners(rng, d, p.size), p.size)
-    return Population(samples=out, kind=Kind.THETA, d=d,
-                      generation=p.generation + 1, seed=seed)
+    return _ll_generation(p, p.samples, d, seed, 0x11)
 
 
 def apply_ll_coupled(pa: Population, pb: Population, d: float, seed: int):
@@ -112,19 +144,11 @@ def apply_ll_coupled(pa: Population, pb: Population, d: float, seed: int):
 
     Inputs are paired by sorted order (the optimal coupling of equal-size
     empirical measures); D, signs and resampling indices are shared: each
-    side resamples with its own copy of the generator, taken after the owners.
+    side draws from its own copy of the same generator.
     """
     if pa.size != pb.size:
         raise ValueError("coupled inputs must have equal size")
-    rng = substream(seed, 0x12)
-    owner = poisson_owners(rng, d, pa.size)
-    return tuple(
-        Population(
-            samples=resample_log_terms(copy.deepcopy(rng), np.sort(p.samples), owner, p.size),
-            kind=Kind.THETA, d=d, generation=p.generation + 1, seed=seed,
-        )
-        for p in (pa, pb)
-    )
+    return tuple(_ll_generation(p, np.sort(p.samples), d, seed, 0x12) for p in (pa, pb))
 
 
 def apply_de(p: Population, d: float, seed: int) -> Population:
@@ -150,14 +174,6 @@ def psi_push(p: Population) -> Population:
     if p.kind is not Kind.THETA:
         raise ValueError("psi_push needs a THETA population")
     return replace(p, samples=psi(p.samples), kind=Kind.MU)
-
-
-def phi_push(p: Population) -> Population:
-    if p.kind is not Kind.MU:
-        raise ValueError("phi_push needs a MU population")
-    if np.any(p.samples <= 0.0) or np.any(p.samples >= 1.0):
-        raise ValueError("log-odds are infinite at 0 and 1")
-    return replace(p, samples=phi(p.samples), kind=Kind.THETA)
 
 
 def wasserstein2(a: Population, b: Population) -> float:
@@ -239,8 +255,7 @@ def write_population(p: Population, fh: IO[str]) -> None:
     d = "nan" if p.d is None else repr(float(p.d))  # shortest exact form
     seed = 0 if p.seed is None else p.seed
     fh.write(f"# pop v1 kind={p.kind.value} d={d} gen={p.generation} seed={seed}\n")
-    for x in p.samples:
-        fh.write(format_double(x) + "\n")
+    fh.write(("%.17g\n" * p.size) % tuple(p.samples.tolist()))  # format_double's bytes
 
 
 def read_population(fh: IO[str]) -> Population:
@@ -248,7 +263,7 @@ def read_population(fh: IO[str]) -> Population:
     if not header.startswith("# pop v1 "):
         raise ValueError("not a population file")
     meta = dict(tok.split("=", 1) for tok in header[len("# pop v1 "):].split())
-    samples = np.array([float(line) for line in fh if line.strip()])
+    samples = np.array([float(line) for line in fh.read().split("\n") if line.strip()])
     d = float(meta.get("d", "nan"))
     if meta.get("kind") not in Kind.__members__:
         raise ValueError(f"unknown population kind {meta.get('kind')!r}")

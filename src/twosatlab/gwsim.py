@@ -22,8 +22,8 @@ passes the cap and comes back as None.
 
 The float theta recursions (`coupled_increment_stats`,
 `survival_theta_population`) draw their Poisson packs Poissonized
-(`densityev.poisson_owners`); only the zero-truncated pack of surviving
-children is drawn per node, and the extinct forest needs ascending parents.
+(`densityev.poisson_owners`); the survival population gathers its clause
+terms from tables, and the extinct forest needs ascending parents.
 
 Exact values of a single node-object tree (`marginal_sequence`,
 `tree_probability`) are each one `treebp.fold`, memoised by node identity,
@@ -40,8 +40,8 @@ from itertools import islice
 
 import numpy as np
 
-from .densityev import poisson_owners, random_signs, resample_log_terms
-from .numerics import log_clause_term
+from .densityev import (clause_table, poisson_owners, resample_log_terms, split_packs,
+                        zero_truncated_owners)
 from .treebp import CLAUSE_TYPES, TreeFormula, bp_pair, fold
 from .util import ResourceLimitError, chunk_sizes, parallel_map, substream
 
@@ -293,31 +293,38 @@ def _forest_theta_matrix(d: float, L: int, count: int, seed: int) -> np.ndarray:
     """Root theta values of `count` independent trees at all depths 0..L+1.
 
     Samples the forest level by level as flat arrays, each level's offspring
-    a Poissonized pack, then runs the log-likelihood recursion bottom-up,
-    vectorized across the whole level. Row l of a level holds its nodes'
-    theta at cut depth l; the depth-1 row needs no transcendental. Column k
-    of the result is tree k at every depth of one realization, which
-    couples successive depths.
+    a Poissonized pack with a 2-bit sign code (s, s') per edge, then runs the
+    log-likelihood recursion bottom-up, vectorized across the whole level.
+    Row l of a level holds its nodes' theta at cut depth l; the depth-1 row
+    needs no transcendental. Column j of the result is tree j at every depth
+    of one realization, which couples successive depths.
     """
     rng = substream(seed, 0x7F)
     top = L + 1
     sizes = [count]
-    edges = []  # per generation: (parent_idx, s, s_prime)
+    edges = []  # per generation: (parent_idx, sign code of each edge)
     for _ in range(top):
         parent = poisson_owners(rng, d, sizes[-1])
-        edges.append((parent, *random_signs(rng, parent.size)))
+        edges.append((parent, rng.integers(0, 4, size=parent.size, dtype=np.int8)))
         sizes.append(parent.size)
 
     theta = np.zeros((1, sizes[top]))
     for g in range(top - 1, -1, -1):
-        parent, s, sp = edges[g]
+        parent, code = edges[g]
         up = np.zeros((top - g + 1, sizes[g]))
         if parent.size:
+            s = (code & 1) * 2.0 - 1.0
             # cut depth 1 sees every child at theta 0, where the term is -log 2
             up[1] = -math.log(2.0) * np.bincount(parent, weights=s, minlength=sizes[g])
+        if parent.size and up.shape[0] > 2:
+            neg_sp, neg_s = 1.0 - (code >> 1) * 2.0, -s
             for j in range(2, up.shape[0]):
-                up[j] = np.bincount(parent, weights=s * log_clause_term(theta[j - 1], sp),
-                                    minlength=sizes[g])
+                # s * log_clause_term(theta, s') by the same float operations, with
+                # fewer fresh temporaries: new pages cost more than the arithmetic
+                x = np.maximum(neg_sp * theta[j - 1], 0.0)
+                x += np.log1p(np.exp(-np.abs(theta[j - 1])))
+                x *= neg_s
+                up[j] = np.bincount(parent, weights=x, minlength=sizes[g])
         theta = up
     return theta  # shape (L+2, count)
 
@@ -325,7 +332,8 @@ def _forest_theta_matrix(d: float, L: int, count: int, seed: int) -> np.ndarray:
 def _increment_chunk(args) -> np.ndarray:
     d, L, count, seed = args
     theta = _forest_theta_matrix(d, L, count, seed)
-    return np.abs(np.diff(theta, axis=0)).sum(axis=1)
+    # row by row: small temporaries reuse freed memory instead of faulting in fresh pages
+    return np.array([np.abs(theta[l + 1] - theta[l]).sum() for l in range(L + 1)])
 
 
 def coupled_increment_stats(
@@ -361,25 +369,25 @@ def survival_theta_population(d: float, L: int, size: int, seed: int) -> np.ndar
     a surviving node aggregates a zero-truncated Poisson(d*zeta) pack of
     surviving subtrees and an independent Poisson(d*eta) pack of dead ones.
     Cost is size * L draws, independent of the (enormous) trees the exact
-    per-sample construction would have to expand.
+    per-sample construction would have to expand; one clause table over
+    [fin | inf] serves all terms of a generation.
     """
     if not 1 < d < 2:
         raise ValueError(f"survival conditioning needs d in (1,2), got {d}")
     info = extinction_probability(d)
     rng = substream(seed, 0x5C)
-    fin = np.zeros(size)
-    inf = np.zeros(size)
+    fin_inf = np.zeros((2, size))
     for _ in range(L):
-        live_counts = rng.poisson(d * info.zeta, size=size)
-        redo = live_counts == 0
-        while redo.any():
-            live_counts[redo] = rng.poisson(d * info.zeta, size=int(redo.sum()))
-            redo = live_counts == 0
-        new_inf = (resample_log_terms(rng, inf, np.repeat(np.arange(size), live_counts), size)
-                   + resample_log_terms(rng, fin, poisson_owners(rng, d * info.eta, size), size))
-        fin = resample_log_terms(rng, fin, poisson_owners(rng, d * info.eta, size), size)
-        inf = new_inf
-    return inf
+        # outputs [fin | inf]; the dead packs of both read fin entries; r holds a
+        # live term's inf key and its sign bit
+        table = clause_table(fin_inf).ravel()
+        slot, entry = split_packs(rng, table[:2 * size], d * info.eta, 2 * size)
+        live = zero_truncated_owners(rng, d * info.zeta, size)
+        r = rng.integers(0, 4 * size, size=live.size)
+        slot = np.concatenate([slot, (r & 1) * (2 * size) + size + live])
+        entry = np.concatenate([entry, table[2 * size:].take(r >> 1)])
+        fin_inf = resample_log_terms(slot, entry, 2 * size).reshape(2, size)
+    return fin_inf[1]
 
 
 # -- bulk exact-marginal sampling ----------------------------------------------

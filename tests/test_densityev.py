@@ -15,14 +15,20 @@ from twosatlab import (
     compare_distributions,
     fixpoint,
     phi,
-    phi_push,
     psi,
     psi_push,
     read_population,
     wasserstein2,
     write_population,
 )
-from twosatlab.densityev import point_population, poisson_owners, zeros_population
+from twosatlab.densityev import (
+    point_population,
+    poisson_owners,
+    resample_log_terms,
+    split_packs,
+    zero_truncated_owners,
+    zeros_population,
+)
 from twosatlab.util import substream
 
 LOG2 = math.log(2.0)
@@ -41,9 +47,7 @@ def test_population_validation():
         Population(samples=np.array([np.inf]), kind=Kind.THETA)
     # forced finite-formula marginals make the closed endpoints legal...
     boundary = Population(samples=np.array([0.0, 0.5, 1.0]), kind=Kind.MU)
-    # ...but the log-odds coordinate change and the recursion reject them
-    with pytest.raises(ValueError):
-        phi_push(boundary)
+    # ...but the recursion rejects them
     with pytest.raises(ValueError):
         apply_de(boundary, 1.0, seed=0)
 
@@ -62,15 +66,56 @@ def test_apply_ll_symmetric_and_atom_at_zero():
     assert abs(out.samples.mean()) <= 3 * out.samples.std() / math.sqrt(out.size)
 
 
+def poisson_pmf(lam, hi):
+    return np.array([math.exp(-lam) * lam**k / math.factorial(k) for k in range(hi)])
+
+
 @pytest.mark.parametrize("lam", [0.5, 1.5])
 def test_poisson_owners_counts_are_poisson(lam):
     size = 200_000
     counts = np.bincount(poisson_owners(substream(19, 0), lam, size), minlength=size)
     hi = int(counts.max()) + 1
-    pmf = np.array([math.exp(-lam) * lam**k / math.factorial(k) for k in range(hi)])
+    pmf = poisson_pmf(lam, hi)
     freq = np.bincount(counts, minlength=hi) / size
     tv = 0.5 * (np.abs(freq - pmf).sum() + (1.0 - pmf.sum()))
     assert tv <= 0.005
+
+
+@pytest.mark.parametrize("lam", [0.3, 0.874, 2.5])
+def test_zero_truncated_owners_counts_are_zero_truncated_poisson(lam):
+    # 0.874 is the live rate d*zeta of survival_theta_population at d = 1.5
+    size = 400_000
+    counts = np.bincount(zero_truncated_owners(substream(20, 0), lam, size), minlength=size)
+    assert counts.size == size and counts.min() >= 1
+    hi = int(counts.max()) + 1
+    pmf = poisson_pmf(lam, hi) / -math.expm1(-lam)
+    pmf[0] = 0.0
+    freq = np.bincount(counts, minlength=hi) / size
+    tv = 0.5 * (np.abs(freq - pmf).sum() + (1.0 - pmf.sum()))
+    assert tv <= 0.005
+
+
+def test_split_packs_signs_are_independent_poisson_halves():
+    # per output, (n+, n-) must be two independent Poisson(lam/2) counts, and
+    # every term an entry of a uniform key
+    size, lam, keys = 400_000, 1.5, 7
+    slot, entry = split_packs(substream(21, 0), np.arange(float(keys)), lam, size)
+    counts = np.bincount(slot, minlength=2 * size)
+    assert counts.size == 2 * size and slot.size == entry.size
+    hi = int(counts.max()) + 1
+    half = poisson_pmf(lam / 2.0, hi)
+    joint = np.bincount(counts[:size] * hi + counts[size:], minlength=hi * hi) / size
+    pmf = np.outer(half, half).ravel()
+    tv = 0.5 * (np.abs(joint - pmf).sum() + (1.0 - pmf.sum()))
+    assert tv <= 0.005
+    freq = np.bincount(entry.astype(int), minlength=keys) / entry.size
+    assert np.abs(freq - 1.0 / keys).max() <= 0.005
+
+
+def test_resample_log_terms_adds_plus_slots_and_subtracts_minus_slots():
+    slot = np.array([0, 2, 1, 3, 0])
+    entry = np.array([1.0, 10.0, 100.0, 1000.0, 1000.0])
+    assert resample_log_terms(slot, entry, 2).tolist() == [1001.0 - 10.0, 100.0 - 1000.0]
 
 
 def test_apply_ll_kind_check():
@@ -108,8 +153,8 @@ def test_psi_phi_inverse_pair():
 
 def test_push_roundtrip():
     p = apply_ll(zeros_population(1000), 1.5, seed=8)
-    back = phi_push(psi_push(p))
-    assert np.max(np.abs(back.samples - p.samples)) <= 1e-12
+    back = phi(psi_push(p).samples)
+    assert np.max(np.abs(back - p.samples)) <= 1e-12
     assert psi_push(p).kind is Kind.MU
 
 

@@ -21,11 +21,13 @@ from twosatlab import (
     tree_probability,
     truncate,
 )
-from twosatlab.densityev import Kind, Population
+from twosatlab.densityev import Kind, Population, poisson_owners
 from twosatlab.analysis import compare_distributions
 from twosatlab.gwsim import (
     _drop_trees,
     _forest_root_pairs,
+    _forest_theta_matrix,
+    _increment_chunk,
     _sample_extinct_forest,
     from_tree_formula,
 )
@@ -36,7 +38,7 @@ from twosatlab.treebp import (
     format_tree,
     root_marginal,
 )
-from twosatlab.numerics import psi
+from twosatlab.numerics import log_clause_term, psi
 from twosatlab.util import substream
 
 # -- extinction probability ----------------------------------------------------
@@ -513,6 +515,44 @@ def test_increments_match_exact_sequence_oracle(d):
     got = np.array([v for _, v in coupled_increment_stats(d, 3, 40_000, seed=12)])
     se = incs.std(axis=0) * math.sqrt(1 / 3000 + 1 / 40_000)
     assert np.all(np.abs(got - incs.mean(axis=0)) <= 4 * se)
+
+
+def forest_theta_matrix_oracle(d, L, count, seed):
+    """`_forest_theta_matrix` as a plain loop: the same draws, and every row
+    from depth 2 on taken from log_clause_term per edge."""
+    rng = substream(seed, 0x7F)
+    top = L + 1
+    sizes = [count]
+    edges = []
+    for _ in range(top):
+        parent = poisson_owners(rng, d, sizes[-1])
+        code = rng.integers(0, 4, size=parent.size, dtype=np.int8)
+        edges.append((parent, (code & 1) * 2.0 - 1.0, (code >> 1) * 2.0 - 1.0))
+        sizes.append(parent.size)
+    theta = np.zeros((1, sizes[top]))
+    for g in range(top - 1, -1, -1):
+        parent, s, sp = edges[g]
+        up = np.zeros((top - g + 1, sizes[g]))
+        if parent.size:
+            up[1] = -math.log(2.0) * np.bincount(parent, weights=s, minlength=sizes[g])
+            for j in range(2, up.shape[0]):
+                up[j] = np.bincount(parent, weights=s * log_clause_term(theta[j - 1], sp),
+                                    minlength=sizes[g])
+        theta = up
+    return theta
+
+
+@pytest.mark.parametrize("d", [1e-6, 0.5, 1.0, 1.5, 1.9])
+def test_forest_theta_matrix_matches_oracle_bit_for_bit(d):
+    for seed in range(3):
+        for L, count in ((2, 1), (3, 700), (6, 2000), (8, 300)):
+            got = _forest_theta_matrix(d, L, count, seed)
+            want = forest_theta_matrix_oracle(d, L, count, seed)
+            assert got.shape == want.shape == (L + 2, count)
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
+            sums = _increment_chunk((d, L, count, seed))
+            assert sums.tobytes() == np.abs(np.diff(want, axis=0)).sum(axis=1).tobytes()
 
 
 def test_increment_stats_worker_invariant():
