@@ -13,6 +13,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -89,6 +90,7 @@ class CriterionResult:
     name: str
     passed: bool
     detail: str
+    seconds: float = field(default=0.0, repr=False, compare=False)  # set by run_all
 
     def line(self) -> str:
         tag = "PASS" if self.passed else "FAIL"
@@ -421,7 +423,11 @@ def run_all(quick: bool = False, workers: int | None = None,
     # ctx.watch_*, and 10..12 pass none
     ctx = Context(sizes=QUICK_SIZES if quick else FULL_SIZES, seed=base_seed,
                   workers=workers)
-    ordered = [criterion(ctx) for criterion in CRITERIA]
+    ordered = []
+    for criterion in CRITERIA:
+        start = time.perf_counter()
+        ordered.append(criterion(ctx))
+        ordered[-1].seconds = time.perf_counter() - start
     if report is not None:
         for res in ordered:
             report(res.line())

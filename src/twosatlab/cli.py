@@ -6,21 +6,21 @@ populations. Every JSON/CSV artifact embeds the resolved run configuration
 (including the seed, auto-generated when absent) so it can be reproduced.
 Exit codes: 0 ok, 1 verification failure, 2 invalid arguments, 3 resource
 limits.
+
+Each subcommand imports the numeric modules it runs, so the exact rational
+ones (`construct-tree`, `tree-bp`) start without numpy.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import secrets
 import sys
 from dataclasses import dataclass
 
-import numpy as np
-
-from . import analysis, densityev, formula, gwsim, treebp
-from .numerics import psi
-from .util import ResourceLimitError, default_workers, format_double
+from . import treebp
+from .util import (COMPONENT_CAP, ENUM_CAP, ResourceLimitError, default_workers,
+                   format_double)
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -41,6 +41,8 @@ class RunConfig:
 def _resolve_seed(args) -> int | None:
     seed = getattr(args, "seed", None)
     if seed is None and hasattr(args, "seed"):
+        import secrets
+
         seed = secrets.randbits(48)
         args.seed = seed
     return seed
@@ -79,6 +81,8 @@ def _open_out(path):
 
 
 def cmd_gen(args):
+    from . import formula
+
     _resolve_seed(args)
     f = formula.generate_formula(args.n, args.d, args.seed)
     cfg = _config(args, "gen")
@@ -91,6 +95,8 @@ def cmd_gen(args):
 
 
 def cmd_count(args):
+    from . import formula
+
     with open(args.infile) as fh:
         f = formula.read_formula(fh)
     stats = formula.count_solutions(f, cap=args.cap)
@@ -108,6 +114,8 @@ def cmd_count(args):
 
 
 def cmd_marginals(args):
+    from . import formula
+
     with open(args.infile) as fh:
         f = formula.read_formula(fh)
     marg = formula.exact_marginals(f, component_cap=args.component_cap)
@@ -151,6 +159,11 @@ def cmd_construct_tree(args):
 
 
 def cmd_gw_sample(args):
+    import numpy as np
+
+    from . import gwsim
+    from .numerics import psi
+
     _resolve_seed(args)
     cfg = _config(args, "gw-sample")
     info = gwsim.extinction_probability(args.d)
@@ -198,6 +211,8 @@ def cmd_gw_sample(args):
 
 
 def cmd_density_evolution(args):
+    from . import densityev
+
     _resolve_seed(args)
     cfg = _config(args, "density-evolution")
     res = densityev.fixpoint(
@@ -230,6 +245,8 @@ def cmd_density_evolution(args):
 
 
 def cmd_atoms(args):
+    from . import analysis, densityev, gwsim
+
     with open(args.infile) as fh:
         pop = densityev.read_population(fh)
     report = analysis.detect_atoms(
@@ -258,6 +275,8 @@ def cmd_atoms(args):
 
 
 def cmd_mixture(args):
+    from . import analysis
+
     _resolve_seed(args)
     cfg = _config(args, "mixture")
     rep = analysis.mixture_decomposition(
@@ -289,6 +308,8 @@ def cmd_mixture(args):
 
 
 def cmd_compare(args):
+    from . import analysis, densityev
+
     with open(args.pop_a) as fh:
         pa = densityev.read_population(fh)
     with open(args.pop_b) as fh:
@@ -302,6 +323,8 @@ def cmd_verify(args):
 
     results = acceptance.run_all(quick=args.quick, workers=args.workers,
                                  base_seed=args.seed if args.seed is not None else 20240801)
+    for r in results:  # timings on stderr: stdout stays byte-identical
+        print(f"C{r.number:02d} {r.seconds:.3f} s", file=sys.stderr)
     failed = [r for r in results if not r.passed]
     sys.exit(EXIT_VERIFY_FAIL if failed else EXIT_OK)
 
@@ -319,7 +342,8 @@ def build_parser() -> argparse.ArgumentParser:
     def add(name, fn, **kw):
         p = sub.add_parser(name, **kw)
         p.set_defaults(func=fn)
-        p.add_argument("--workers", type=_positive_int, default=default_workers())
+        # None: TWOSATLAB_WORKERS, read in main so a bad value exits 2
+        p.add_argument("--workers", type=_positive_int, default=None)
         return p
 
     p = add("gen", cmd_gen, help="draw a random formula and write its text form")
@@ -330,11 +354,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("count", cmd_count, help="exhaustively count solutions of a formula file")
     p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--cap", type=int, default=formula.ENUM_CAP)
+    p.add_argument("--cap", type=int, default=ENUM_CAP)
 
     p = add("marginals", cmd_marginals, help="exact per-variable marginals as JSON")
     p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--component-cap", type=int, default=formula.COMPONENT_CAP)
+    p.add_argument("--component-cap", type=int, default=COMPONENT_CAP)
     p.add_argument("--out", default=None)
 
     p = add("tree-bp", cmd_tree_bp, help="root marginal of a serialized tree")
@@ -344,7 +368,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("construct-tree", cmd_construct_tree,
             help="build a tree with the given root marginal, e.g. 2/5")
     p.add_argument("fraction")
-    p.set_defaults(workers=1)
 
     p = add("gw-sample", cmd_gw_sample, help="sample branching-process marginals")
     p.add_argument("--d", type=float, required=True)
@@ -406,6 +429,8 @@ def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
+        if args.workers is None:
+            args.workers = default_workers()
         args.func(args)
     except ResourceLimitError as exc:
         print(f"resource limit: {exc}", file=sys.stderr)

@@ -139,18 +139,6 @@ def apply_ll(p: Population, d: float, seed: int) -> Population:
     return _ll_generation(p, p.samples, d, seed, 0x11)
 
 
-def apply_ll_coupled(pa: Population, pb: Population, d: float, seed: int):
-    """Apply one generation to both inputs with shared operator randomness.
-
-    Inputs are paired by sorted order (the optimal coupling of equal-size
-    empirical measures); D, signs and resampling indices are shared: each
-    side draws from its own copy of the same generator.
-    """
-    if pa.size != pb.size:
-        raise ValueError("coupled inputs must have equal size")
-    return tuple(_ll_generation(p, np.sort(p.samples), d, seed, 0x12) for p in (pa, pb))
-
-
 def apply_de(p: Population, d: float, seed: int) -> Population:
     """One generation of the marginal-coordinate recursion (all in log space)."""
     if p.kind is not Kind.MU:

@@ -17,10 +17,8 @@ from typing import IO
 import numpy as np
 
 from .densityev import Kind, Population
-from .util import ResourceLimitError, substream
+from .util import COMPONENT_CAP, ENUM_CAP, ResourceLimitError, substream
 
-ENUM_CAP = 28
-COMPONENT_CAP = 2000
 _ELIM_WIDTH_CAP = 22
 _BLOCK_BITS = 20
 
@@ -169,8 +167,11 @@ def is_satisfiable(f: Formula) -> bool:
 # Per component, one min-degree variable elimination (forward pass) yields the
 # count Z, and one calibration of its bucket tree (backward pass) every
 # variable's counts: integer belief propagation on trees. A bucket over w
-# variables is a list of 2^w Python ints; w above `width_cap` is a
-# ResourceLimitError. count_solutions is the independent enumeration oracle.
+# variables is a list of 2^w Python ints; w above `width_cap`, or more cells
+# over all buckets than 2^(width_cap + 1), is a ResourceLimitError raised
+# before any table exists. Width alone does not bound memory: every bucket is
+# kept until the backward pass (width 19 over 1.5M cells peaked at 497 MB).
+# count_solutions is the independent enumeration oracle.
 
 
 def _spread(scope: tuple, into: tuple) -> list[int]:
@@ -203,6 +204,10 @@ def _component_counts(nb: dict[int, set], rows: list, width_cap: int) -> tuple[i
             nb[u] |= sep
             nb[u] -= {u, v}
             heapq.heappush(heap, (len(nb[u]), u))
+    cells = sum(1 << len(s) for s in scope.values())
+    if cells > 2 << width_cap:  # a clique at the width cap alone needs 2^(w+1) - 2
+        raise ResourceLimitError(f"elimination tables of {cells} cells exceed "
+                                 f"budget {2 << width_cap}")
     order = list(scope)
     rank = {v: k for k, v in enumerate(order)}
     table = {v: [1] * (1 << len(s)) for v, s in scope.items()}

@@ -17,8 +17,6 @@ from fractions import Fraction
 from math import gcd
 from typing import NamedTuple
 
-import numpy as np
-
 from .util import ResourceLimitError
 
 
@@ -186,8 +184,7 @@ def to_formula(t: TreeFormula, cap: int = 1 << 16):
             next_id += 1
             clauses.append((vid, s, cid, sp))
             queue.append((cid, child))
-    cl = np.array(clauses, dtype=np.int64).reshape(-1, 4)
-    return Formula(n=size, clauses=cl)
+    return Formula(n=size, clauses=clauses)
 
 
 # -- nested parenthesized text form -------------------------------------------

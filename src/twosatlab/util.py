@@ -9,15 +9,19 @@ integer path, never on scheduling or worker count.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
-from typing import Callable, Sequence, TypeVar
+from typing import TYPE_CHECKING, Callable, Sequence, TypeVar
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 T = TypeVar("T")
 R = TypeVar("R")
 
 WORKERS_ENV = "TWOSATLAB_WORKERS"
+# caps of the exact formula kernels; here, not in `formula`, so the CLI reads
+# its defaults without importing numpy
+ENUM_CAP = 28
+COMPONENT_CAP = 2000
 
 
 class ResourceLimitError(RuntimeError):
@@ -26,15 +30,22 @@ class ResourceLimitError(RuntimeError):
 
 def substream(seed: int, *path: int) -> np.random.Generator:
     """Deterministic generator for (seed, path); independent across paths."""
+    import numpy as np  # numpy loads only for the commands that draw
+
     return np.random.default_rng(np.random.SeedSequence([int(seed), *map(int, path)]))
 
 
 def default_workers() -> int:
+    """Worker count from the environment (1 when unset); ValueError unless a
+    positive integer."""
     raw = os.environ.get(WORKERS_ENV, "1")
     try:
-        return max(1, int(raw))
+        workers = int(raw)
     except ValueError:
-        return 1
+        workers = 0
+    if workers < 1:
+        raise ValueError(f"{WORKERS_ENV} must be a positive integer, got {raw!r}")
+    return workers
 
 
 def parallel_map(fn: Callable[[T], R], items: Sequence[T], workers: int | None = None) -> list[R]:
@@ -48,6 +59,8 @@ def parallel_map(fn: Callable[[T], R], items: Sequence[T], workers: int | None =
     items = list(items)
     if workers <= 1 or len(items) <= 1:
         return [fn(it) for it in items]
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, items))
 

@@ -2,6 +2,7 @@
 
 import io
 import json
+import re
 import subprocess
 import sys
 
@@ -12,7 +13,7 @@ import twosatlab
 from twosatlab import acceptance, treebp
 from twosatlab.cli import main
 from twosatlab.densityev import read_population
-from twosatlab.util import child_env
+from twosatlab.util import child_env, parallel_map
 
 
 def run_cli(args, cwd):
@@ -288,10 +289,80 @@ def test_tree_bp_marginal_past_int_str_limit(tmp_path, capsys):
         sys.set_int_max_str_digits(limit)
 
 
-def test_cli_import_skips_scipy():
-    probe = ("import sys, twosatlab.cli; "
-             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+def _packages_after(code):
+    """Top-level packages a fresh interpreter holds after running `code`."""
+    probe = f"{code}\nimport sys\nprint(*sorted({{m.split('.')[0] for m in sys.modules}}))"
     res = subprocess.run([sys.executable, "-c", probe], capture_output=True,
                          text=True, env=child_env())
     assert res.returncode == 0, res.stderr
+    return set(res.stdout.splitlines()[-1].split())
+
+
+def test_cli_import_skips_scipy():
+    loaded = _packages_after("import twosatlab.cli")
+    assert "twosatlab" in loaded and "scipy" not in loaded
+
+
+def test_package_import_loads_no_numpy():
+    loaded = _packages_after("import twosatlab")
+    assert "twosatlab" in loaded and "numpy" not in loaded
+
+
+@pytest.mark.parametrize("argv", [["construct-tree", "3/7"],
+                                  ["tree-bp", "--tree", "(v [-+](v) [++](v))"]],
+                         ids=["construct-tree", "tree-bp"])
+def test_exact_subcommands_load_no_numpy(argv):
+    loaded = _packages_after(f"from twosatlab.cli import main\nassert main({argv!r}) == 0")
+    assert not loaded & {"numpy", "multiprocessing", "scipy"}
+
+
+# every name `twosatlab` exported when it imported its submodules eagerly,
+# less `apply_ll_coupled`, which moved into tests/test_densityev.py
+EXPORTS = """
+    AtomReport MixtureReport compare_distributions detect_atoms max_cluster_mass
+    mixture_decomposition snap_to_fraction support_coverage FixpointResult Kind
+    Population apply_de apply_ll fixpoint psi_push read_population wasserstein2
+    write_population Formula SolutionStats count_solutions empirical_marginal_measure
+    exact_marginals generate_formula is_satisfiable marginals_to_json read_formula
+    write_formula ExtinctionInfo GWNode GWTree coupled_increment_stats
+    extinct_marginal_samples extinction_probability from_tree_formula marginal_sequence
+    sample_extinct_conditioned sample_survival_conditioned sample_truncated
+    survival_theta_population tree_probability truncate log_clause_term phi psi
+    CLAUSE_TYPES ClauseType TreeFormula construct_rational_tree format_tree join leaf
+    log_likelihood negate parse_tree root_marginal to_formula ResourceLimitError
+""".split()
+
+
+def test_every_export_resolves_and_is_listed():
+    code = (f"from twosatlab import {', '.join(EXPORTS)}\nimport twosatlab\n"
+            f"print(sorted(set({EXPORTS!r}) - set(dir(twosatlab))))")
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, env=child_env())
+    assert res.returncode == 0, res.stderr
     assert res.stdout.strip() == "[]"
+    assert sorted(twosatlab.__all__) == sorted(EXPORTS)
+    assert twosatlab.psi is sys.modules["twosatlab.numerics"].psi
+    with pytest.raises(AttributeError):
+        twosatlab.apply_ll_coupled
+
+
+@pytest.mark.parametrize("raw", ["abc", "-3", "0", "1.5"])
+def test_bad_workers_env_exits_invalid(raw, monkeypatch, capsys):
+    monkeypatch.setenv("TWOSATLAB_WORKERS", raw)
+    assert main(["construct-tree", "2/5"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("invalid arguments: TWOSATLAB_WORKERS") and "Traceback" not in err
+    assert main(["construct-tree", "2/5", "--workers", "1"]) == 0  # the flag wins
+    with pytest.raises(ValueError, match="TWOSATLAB_WORKERS"):
+        parallel_map(abs, [1, -2], workers=None)
+
+
+def test_verify_prints_criterion_seconds_on_stderr(monkeypatch, capsys):
+    def trivial(number, passed):
+        return lambda ctx: acceptance.CriterionResult(number, "trivial", passed, "ok")
+
+    monkeypatch.setattr(acceptance, "CRITERIA", [trivial(1, True), trivial(2, False)])
+    assert main(["verify", "--quick"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "[PASS] C01 trivial: ok\n[FAIL] C02 trivial: ok\n"
+    assert re.fullmatch(r"C01 \d+\.\d{3} s\nC02 \d+\.\d{3} s\n", err)

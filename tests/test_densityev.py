@@ -11,7 +11,6 @@ from twosatlab import (
     Population,
     apply_de,
     apply_ll,
-    apply_ll_coupled,
     compare_distributions,
     fixpoint,
     phi,
@@ -22,6 +21,7 @@ from twosatlab import (
     write_population,
 )
 from twosatlab.densityev import (
+    _ll_generation,
     point_population,
     poisson_owners,
     resample_log_terms,
@@ -32,6 +32,17 @@ from twosatlab.densityev import (
 from twosatlab.util import substream
 
 LOG2 = math.log(2.0)
+
+
+def apply_ll_coupled(pa: Population, pb: Population, d: float, seed: int):
+    """One `apply_ll` generation of both inputs with shared operator randomness.
+
+    Inputs are paired by sorted order (the optimal coupling of equal-size
+    empirical measures); D, signs and resampling indices are shared: each
+    side draws from its own copy of the same generator.
+    """
+    assert pa.size == pb.size, "coupled inputs must have equal size"
+    return tuple(_ll_generation(p, np.sort(p.samples), d, seed, 0x12) for p in (pa, pb))
 
 
 def test_population_validation():

@@ -317,6 +317,15 @@ def test_width_cap_error():
     assert exact_marginals(triangle, width_cap=3) == oracle_marginals(triangle)
 
 
+def test_table_cell_budget_error():
+    # a 5-variable path: no bucket is wider than 2, but its tables hold 18
+    # cells, over the budget 2^(3+1) that a width cap of 3 allows
+    path = Formula(n=5, clauses=[[i, 1, i + 1, 1] for i in range(1, 5)])
+    with pytest.raises(ResourceLimitError, match="18 cells exceed budget 16"):
+        exact_marginals(path, width_cap=3)
+    assert exact_marginals(path, width_cap=4) == oracle_marginals(path)
+
+
 def test_component_cap_error():
     f = generate_formula(5000, 0.8, seed=3)
     with pytest.raises(ResourceLimitError, match="component"):
