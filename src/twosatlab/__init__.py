@@ -22,10 +22,9 @@ _EXPORTS = {
         "read_formula", "write_formula",
     ),
     "gwsim": (
-        "ExtinctionInfo", "GWNode", "GWTree", "coupled_increment_stats",
-        "extinct_marginal_samples", "extinction_probability", "from_tree_formula",
-        "marginal_sequence", "sample_extinct_conditioned", "sample_survival_conditioned",
-        "sample_truncated", "survival_theta_population", "tree_probability", "truncate",
+        "ExtinctionInfo", "GWTree", "coupled_increment_stats", "extinct_marginal_samples",
+        "extinction_probability", "from_tree_formula", "survival_theta_population",
+        "tree_marginal_samples", "tree_probability",
     ),
     "numerics": ("log_clause_term", "phi", "psi"),
     "treebp": (

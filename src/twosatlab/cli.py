@@ -159,42 +159,33 @@ def cmd_construct_tree(args):
 
 
 def cmd_gw_sample(args):
-    import numpy as np
-
     from . import gwsim
-    from .numerics import psi
 
     _resolve_seed(args)
     cfg = _config(args, "gw-sample")
     info = gwsim.extinction_probability(args.d)
     method = args.method
     if method == "auto":
-        method = "population" if args.depth > 12 else "tree"
-
-    dump = open(args.dump_trees, "w") if args.dump_trees else None
-    if args.conditioned == "survive" and method == "population":
-        if dump:
-            dump.close()
+        method = "population" if args.conditioned == "survive" and args.depth > 12 else "tree"
+    if method == "population":
+        if args.conditioned != "survive":
+            raise ValueError("--method population needs --conditioned survive")
+        if args.dump_trees:
             raise ValueError("--dump-trees needs --method tree")
-        theta = gwsim.survival_theta_population(args.d, args.depth, args.n, args.seed)
-        values = psi(theta)
+        from .numerics import psi
+
+        values = psi(gwsim.survival_theta_population(args.d, args.depth, args.n, args.seed))
     else:
-        values = np.empty(args.n)
-        for k in range(args.n):
-            sub = int(np.random.SeedSequence([args.seed, k]).generate_state(1)[0])
-            if args.conditioned == "none":
-                t = gwsim.sample_truncated(args.d, args.depth, sub)
-                values[k] = float(gwsim.marginal_sequence(t)[-1])
-            elif args.conditioned == "extinct":
-                t = gwsim.sample_extinct_conditioned(args.d, sub)
-                values[k] = float(treebp.root_marginal(t.root))
-            else:
-                t = gwsim.sample_survival_conditioned(args.d, args.depth, sub)
-                values[k] = float(gwsim.marginal_sequence(t)[-1])
-            if dump:
-                dump.write(treebp.format_tree(t.root, marks=t.conditioned == "survive") + "\n")
-        if dump:
-            dump.close()
+        depth = None if args.conditioned == "extinct" else args.depth
+        fracs, texts = gwsim.tree_marginal_samples(
+            args.d, args.n, args.seed, args.conditioned, depth,
+            workers=args.workers, dump=bool(args.dump_trees))
+        if any(q is None for q in fracs):
+            raise ResourceLimitError("a sampled tree outgrew the node cap")
+        values = [float(q) for q in fracs]
+        if args.dump_trees:
+            with open(args.dump_trees, "w") as fh:
+                fh.writelines(text + "\n" for text in texts)
 
     out = _open_out(args.out)
     for v in values:

@@ -13,21 +13,23 @@ conditioned to be at least one, plus an independent Poisson(d*eta) pack of
 dead children. Clause types and signs stay uniform and independent of the
 marks, which only depend on counts.
 
-Bulk exact marginals (`extinct_marginal_samples`) never build node objects:
-each chunk grows its whole forest of extinction-conditioned trees one
-generation at a time as flat parent/clause-type arrays, then folds the
-generations bottom-up into reduced integer pairs with `treebp.bp_pair`.
-A tree with more than node_cap nodes leaves the frontier as soon as it
-passes the cap and comes back as None.
+Exact marginals of sampled trees (`tree_marginal_samples`, and its extinct
+case `extinct_marginal_samples`) never build node objects: each chunk grows
+its whole forest one generation at a time as flat parent/clause-type arrays,
+with a live mark per node under survival conditioning, cut at a depth
+limit, then folds the generations bottom-up into reduced integer pairs with
+`treebp.bp_pair`. The same arrays give the text form of every tree. A tree
+with more than node_cap nodes leaves the frontier as soon as it passes the
+cap and comes back as None.
 
 The float theta recursions (`coupled_increment_stats`,
 `survival_theta_population`) draw their Poisson packs Poissonized
 (`densityev.poisson_owners`); the survival population gathers its clause
-terms from tables, and the extinct forest needs ascending parents.
+terms from tables, and the forests need ascending parents.
 
-Exact values of a single node-object tree (`marginal_sequence`,
-`tree_probability`) are each one `treebp.fold`, memoised by node identity,
-so they take shared `TreeFormula` trees as they are, without expanding them.
+The probability of a fixed tree shape (`tree_probability`) is one
+`treebp.fold`, memoised by node identity, so it takes shared `TreeFormula`
+trees as they are, without expanding them.
 """
 
 from __future__ import annotations
@@ -42,31 +44,18 @@ import numpy as np
 
 from .densityev import (clause_table, poisson_owners, resample_log_terms, split_packs,
                         zero_truncated_owners)
-from .treebp import CLAUSE_TYPES, TreeFormula, bp_pair, fold
-from .util import ResourceLimitError, chunk_sizes, parallel_map, substream
+from .treebp import CLAUSE_TYPES, EDGE_TEXT, TreeFormula, bp_pair, fold
+from .util import chunk_sizes, parallel_map, substream
 
 _NODE_CAP = 20_000_000
 
 
-class GWNode:
-    """Variable node; children are (clause type, child node) pairs."""
-
-    __slots__ = ("children", "surviving")
-
-    def __init__(self, children=None, surviving=None):
-        self.children = children if children is not None else []
-        self.surviving = surviving
-
-
 @dataclass(frozen=True)
 class GWTree:
-    """A sampled tree; depth_limit counts variable generations (None=complete).
-    The root is any node with `.children`: a GWNode or a TreeFormula."""
+    """A complete finite tree shape for `tree_probability`."""
 
-    root: GWNode | TreeFormula
-    depth_limit: int | None
+    root: TreeFormula
     d: float
-    conditioned: str = "none"
 
 
 @dataclass(frozen=True)
@@ -100,161 +89,10 @@ def extinction_probability(d: float, tol: float = 1e-12) -> ExtinctionInfo:
     return ExtinctionInfo(d=d, eta=eta, zeta=1.0 - eta)
 
 
-# -- samplers ------------------------------------------------------------------
-
-
-def _uniform_types(rng, k: int):
-    return [CLAUSE_TYPES[t] for t in rng.integers(0, 4, size=k)]
-
-
-def sample_truncated(d: float, L: int, seed: int) -> GWTree:
-    """Unconditioned tree truncated at variable generation L (depth 2L)."""
-    if L < 0:
-        raise ValueError("L must be >= 0")
-    rng = substream(seed, 0x6A)
-    root = GWNode()
-    frontier = [root]
-    nodes = 1
-    for _ in range(L):
-        nxt = []
-        for node in frontier:
-            counts = rng.poisson(d / 4.0, size=4)
-            for t, c in enumerate(counts):
-                for _ in range(int(c)):
-                    child = GWNode()
-                    node.children.append((CLAUSE_TYPES[t], child))
-                    nxt.append(child)
-        nodes += len(nxt)
-        if nodes > _NODE_CAP:
-            raise ResourceLimitError(f"tree grew past {_NODE_CAP} nodes")
-        frontier = nxt
-    return GWTree(root=root, depth_limit=L, d=d)
-
-
-def sample_extinct_conditioned(
-    d: float, seed: int, depth_limit: int | None = None
-) -> GWTree:
-    """Tree conditioned on extinction: complete, finite, Poisson(d*eta) offspring."""
-    info = extinction_probability(d)
-    rng = substream(seed, 0x6B)
-    root = _grow_extinct(rng, d * info.eta, depth_limit, _NODE_CAP)
-    if root is None:
-        raise ResourceLimitError(f"tree grew past {_NODE_CAP} nodes")
-    return GWTree(root=root, depth_limit=depth_limit, d=d, conditioned="extinct")
-
-
-def _grow_extinct(rng, lam: float, depth_limit: int | None, node_cap: int) -> GWNode | None:
-    """Grow a Poisson(lam) tree of node objects; None when it exceeds node_cap
-    (lam near 1 makes sizes heavy-tailed). Bulk marginals use the array
-    forest of `_sample_extinct_forest` instead."""
-    root = GWNode(surviving=False)
-    frontier = [root]
-    depth = 0
-    nodes = 1
-    while frontier and (depth_limit is None or depth < depth_limit):
-        nxt = []
-        for node in frontier:
-            k = int(rng.poisson(lam))
-            for ct in _uniform_types(rng, k):
-                child = GWNode(surviving=False)
-                node.children.append((ct, child))
-                nxt.append(child)
-        nodes += len(nxt)
-        if nodes > node_cap:
-            return None
-        frontier = nxt
-        depth += 1
-    return root
-
-
-def _poisson_ge1(rng, lam: float) -> int:
-    while True:
-        k = int(rng.poisson(lam))
-        if k >= 1:
-            return k
-
-
-def sample_survival_conditioned(d: float, L: int, seed: int) -> GWTree:
-    """Tree conditioned on survival, truncated at variable generation L.
-
-    Surviving nodes carry mark True and have at least one surviving child,
-    so a surviving path always reaches the truncation depth; dead children
-    root extinction-conditioned subtrees cut at the same overall depth.
-    """
-    if not 1 < d < 2:
-        raise ValueError(f"survival conditioning needs d in (1,2), got {d}")
-    if L < 1:
-        raise ValueError("L must be >= 1")
-    info = extinction_probability(d)
-    rng = substream(seed, 0x6C)
-    root = GWNode(surviving=True)
-    frontier = [root]
-    for depth in range(L):
-        nxt = []
-        for node in frontier:
-            n_live = _poisson_ge1(rng, d * info.zeta)
-            n_dead = int(rng.poisson(d * info.eta))
-            for ct in _uniform_types(rng, n_live):
-                child = GWNode(surviving=True)
-                node.children.append((ct, child))
-                nxt.append(child)
-            budget = L - depth - 1
-            for ct in _uniform_types(rng, n_dead):
-                child = _grow_extinct(rng, d * info.eta, budget, _NODE_CAP)
-                node.children.append((ct, child))
-        frontier = nxt
-    return GWTree(root=root, depth_limit=L, d=d, conditioned="survive")
-
-
-# -- exact marginals on sampled trees -----------------------------------------
-
-
-def _cut_pairs(kids) -> list[tuple[int, int]]:
-    """A node's marginals cut 0, 1, ..., height generations below it, from its
-    children's lists; past a node's height its marginal stays constant."""
-    if not kids:
-        return [(1, 2)]
-    height = max(len(seq) for _, seq in kids)
-    return [(1, 2)] + [
-        bp_pair([(ct, seq[j] if j < len(seq) else seq[-1]) for ct, seq in kids])
-        for j in range(height)
-    ]
-
-
-def marginal_sequence(t: GWTree) -> list[Fraction]:
-    """Root marginals of the depth-0, depth-2, ..., depth-2L truncations.
-
-    Entry l is the exact marginal of the tree cut l variable generations
-    below the root; entry 0 is 1/2. One fold serves all depths.
-    """
-    if t.depth_limit is None:
-        raise ValueError("marginal_sequence needs a truncated tree")
-    seq = fold(t.root, _cut_pairs)
-    seq = seq[:t.depth_limit + 1] + seq[-1:] * (t.depth_limit + 1 - len(seq))
-    return [Fraction(a, b) for a, b in seq]
-
-
-def truncate(t: GWTree, depth: int) -> GWTree:
-    """Structural copy cut at variable generation `depth`, made level by level."""
-    if t.depth_limit is not None and depth > t.depth_limit:
-        raise ValueError("cannot truncate deeper than the sampled depth")
-    root = GWNode(surviving=t.root.surviving)
-    frontier = [(t.root, root)]
-    for _ in range(depth):
-        nxt = []
-        for node, out in frontier:
-            for ct, c in node.children:
-                child = GWNode(surviving=c.surviving)
-                out.children.append((ct, child))
-                nxt.append((c, child))
-        frontier = nxt
-    return GWTree(root=root, depth_limit=depth, d=t.d, conditioned=t.conditioned)
-
-
 def from_tree_formula(t: TreeFormula, d: float) -> GWTree:
-    """A (possibly shared) tree-formula as a complete sampled-tree shape; the
-    nodes are not copied."""
-    return GWTree(root=t, depth_limit=None, d=d)
+    """A (possibly shared) tree-formula as a tree shape; the nodes are not
+    copied."""
+    return GWTree(root=t, d=d)
 
 
 # -- probability of a fixed finite tree ---------------------------------------
@@ -270,8 +108,6 @@ def tree_probability(t: GWTree, d: float) -> float:
     subtree's isomorphism class, node count and log multiplicity, so a
     shared TreeFormula is never expanded.
     """
-    if t.depth_limit is not None:
-        raise ValueError("tree_probability needs a complete (finite) tree")
     classes: dict[tuple, int] = {}  # isomorphism class of each subtree shape
 
     def combine(kids):  # kids: (clause type, (class, nodes, log multiplicity))
@@ -374,6 +210,8 @@ def survival_theta_population(d: float, L: int, size: int, seed: int) -> np.ndar
     """
     if not 1 < d < 2:
         raise ValueError(f"survival conditioning needs d in (1,2), got {d}")
+    if L < 1:
+        raise ValueError(f"L must be >= 1, got {L}")
     info = extinction_probability(d)
     rng = substream(seed, 0x5C)
     fin_inf = np.zeros((2, size))
@@ -390,44 +228,63 @@ def survival_theta_population(d: float, L: int, size: int, seed: int) -> np.ndar
     return fin_inf[1]
 
 
-# -- bulk exact-marginal sampling ----------------------------------------------
+# -- level-array forests ---------------------------------------------------------
 
 
-def _sample_extinct_forest(rng, lam: float, count: int, node_cap: int):
-    """Grow `count` independent Poisson(lam) trees together, a generation at a time.
+def _grow_forest(rng, count: int, lam: float, node_cap: int, depth: int | None = None,
+                 live_lam: float | None = None):
+    """Grow `count` independent trees together, a generation at a time.
 
-    Returns (levels, alive). levels[g-1] = (parent, types) describes variable
-    generation g >= 1: node i hangs below node parent[i] of generation g-1
-    (the roots are generation 0), through clause type CLAUSE_TYPES[types[i]].
-    Parents ascend, so siblings are contiguous. alive[k] is False exactly when
-    tree k has more than node_cap nodes; such a tree leaves the frontier in
-    the generation that takes it over the cap, and `_drop_trees` then removes
-    its nodes below the root, so the pair pass spends no time on them.
+    Every node gets a Poisson(lam) pack of children. With live_lam the roots
+    are live, and a live node first gets a zero-truncated Poisson(live_lam)
+    pack of live children. Growth stops after `depth` generations, or when
+    no node is left (depth None).
+
+    Returns (levels, alive, marks). levels[g-1] = (parent, types) describes
+    variable generation g >= 1: node i hangs below node parent[i] of
+    generation g-1 (the roots are generation 0), through clause type
+    CLAUSE_TYPES[types[i]]. Parents ascend, so siblings are contiguous, live
+    ones first. marks[g-1] flags the live nodes of generation g; marks is
+    None without live_lam. alive[k] is False exactly when tree k has more
+    than node_cap nodes; such a tree leaves the frontier in the generation
+    that takes it over the cap, and `_drop_trees` then removes its nodes
+    below the root, so the pair pass spends no time on them.
     """
     tree = np.arange(count)  # tree of each frontier node
+    live = None if live_lam is None else np.ones(count, dtype=bool)
     size = np.ones(count, dtype=np.int64)
     alive = size <= node_cap
-    levels = []
-    while tree.size:
+    levels, marks = [], None if live is None else []
+    while tree.size and (depth is None or len(levels) < depth):
         kids = rng.poisson(lam, size=tree.size)
+        if live is not None:
+            owners = np.flatnonzero(live)[zero_truncated_owners(rng, live_lam, int(live.sum()))]
+            n_live = np.bincount(owners, minlength=tree.size)
+            kids += n_live
         parent = np.repeat(np.arange(tree.size, dtype=np.int32), kids)
         types = rng.integers(0, 4, size=parent.size, dtype=np.int8)
+        if live is not None:  # the first n_live[p] children of node p are live
+            live = np.arange(parent.size) < (np.cumsum(kids) - kids + n_live)[parent]
         tree = tree[parent]
         size += np.bincount(tree, minlength=count)
         alive = size <= node_cap
         keep = alive[tree]
         if not keep.all():
             parent, types, tree = parent[keep], types[keep], tree[keep]
+            live = None if live is None else live[keep]
         if parent.size:
             levels.append((parent, types))
+            if live is not None:
+                marks.append(live)
     if not alive.all():
-        _drop_trees(levels, alive)
-    return levels, alive
+        _drop_trees(levels, alive, marks)
+    return levels, alive, marks
 
 
-def _drop_trees(levels, alive) -> None:
-    """Remove from `levels`, in place, every node below the root of a tree k
-    with alive[k] False; the other trees keep their shape and child order."""
+def _drop_trees(levels, alive, marks) -> None:
+    """Remove from `levels` and `marks` (None without live marks), in place,
+    every node below the root of a tree k with alive[k] False; the other
+    trees keep their shape and child order."""
     tree = np.arange(alive.size)
     index = tree  # new position of each kept node of the generation above
     for g, (parent, types) in enumerate(levels):
@@ -435,9 +292,35 @@ def _drop_trees(levels, alive) -> None:
         keep = alive[tree]
         if not keep.any():  # no kept tree reaches this deep
             del levels[g:]
+            if marks is not None:
+                del marks[g:]
             return
         levels[g] = (index[parent[keep]].astype(np.int32), types[keep])
+        if marks is not None:
+            marks[g] = marks[g][keep]
         index = np.cumsum(keep) - 1
+
+
+def _forest_texts(levels, marks, count: int) -> list[str]:
+    """`treebp.format_tree` text of each of `count` trees of a sampled forest.
+
+    Built bottom-up from the level arrays, so depth costs no recursion. With
+    marks, a "!" after the v flags every live node, the roots included.
+    """
+    edges = [EDGE_TEXT[ct] for ct in CLAUSE_TYPES]
+    flags = None if marks is None else [np.ones(count, dtype=bool), *marks]
+    sizes = [count] + [len(parent) for parent, _ in levels]
+    inner = [""] * sizes[-1]  # the children's text of each node
+    for g in range(len(levels), -1, -1):
+        heads = (["(v"] * sizes[g] if flags is None
+                 else ["(v!" if f else "(v" for f in flags[g].tolist()])
+        texts = [head + body + ")" for head, body in zip(heads, inner)]
+        if g:
+            parent, types = levels[g - 1]
+            below = zip(map(edges.__getitem__, types.tolist()), texts)
+            inner = ["".join(edge + text for edge, text in islice(below, k))
+                     for k in np.bincount(parent, minlength=sizes[g - 1]).tolist()]
+    return texts
 
 
 def _forest_root_pairs(levels, count: int) -> list[tuple[int, int]]:
@@ -456,12 +339,64 @@ def _forest_root_pairs(levels, count: int) -> list[tuple[int, int]]:
     return vals
 
 
-def _extinct_marginal_chunk(args) -> list[Fraction | None]:
-    d, count, seed, node_cap = args
-    lam = d * extinction_probability(d).eta
-    levels, alive = _sample_extinct_forest(substream(seed, 0x6D), lam, count, node_cap)
+_FOREST_TAGS = {"extinct": 0x6D, "none": 0x6A, "survive": 0x6C}
+
+
+def _forest_chunk(args) -> tuple[list[Fraction | None], list[str]]:
+    tag, lam, live_lam, depth, count, seed, node_cap, dump = args
+    levels, alive, marks = _grow_forest(substream(seed, tag), count, lam, node_cap, depth,
+                                        live_lam)
+    texts = _forest_texts(levels, marks, count) if dump else []
     pairs = _forest_root_pairs(levels, count)
-    return [Fraction(a, b) if ok else None for (a, b), ok in zip(pairs, alive.tolist())]
+    return [Fraction(a, b) if ok else None for (a, b), ok in zip(pairs, alive.tolist())], texts
+
+
+def tree_marginal_samples(
+    d: float,
+    n: int,
+    seed: int,
+    conditioned: str = "extinct",
+    depth: int | None = None,
+    chunk: int = 2000,
+    workers: int | None = None,
+    node_cap: int = _NODE_CAP,
+    dump: bool = False,
+) -> tuple[list[Fraction | None], list[str]]:
+    """Exact rational root marginals of n sampled trees, and their texts.
+
+    `conditioned` picks the law: "extinct" trees have Poisson(d*eta) packs,
+    "none" trees Poisson(d) packs, and "survive" trees give a live node a
+    zero-truncated Poisson(d*zeta) pack of live children and every node a
+    Poisson(d*eta) pack of dead ones. Each tree is cut `depth` variable
+    generations below its root; only extinct trees may stay complete
+    (depth None). A tree that outgrows node_cap comes back as None. With
+    dump, the second list holds each tree's `treebp.format_tree` text, "!"
+    marking live nodes; otherwise it is empty. The results depend on seed
+    and chunk, never on workers.
+    """
+    if conditioned not in _FOREST_TAGS:
+        raise ValueError(f"conditioned must be one of {sorted(_FOREST_TAGS)}, got {conditioned!r}")
+    if conditioned == "survive" and not 1 < d < 2:
+        raise ValueError(f"survival conditioning needs d in (1,2), got {d}")
+    if depth is None and conditioned != "extinct":
+        raise ValueError(f"{conditioned!r} trees need a depth")
+    min_depth = 1 if conditioned == "survive" else 0
+    if depth is not None and depth < min_depth:
+        raise ValueError(f"depth must be >= {min_depth}, got {depth}")
+    info = extinction_probability(d)
+    lam = d if conditioned == "none" else d * info.eta
+    live_lam = d * info.zeta if conditioned == "survive" else None
+    specs = [
+        (_FOREST_TAGS[conditioned], lam, live_lam, depth, c,
+         int(substream(seed, 0x71, k).integers(0, 2**62)), node_cap, dump)
+        for k, c in enumerate(chunk_sizes(n, chunk))
+    ]
+    values: list[Fraction | None] = []
+    texts: list[str] = []
+    for part, lines in parallel_map(_forest_chunk, specs, workers=workers):
+        values.extend(part)
+        texts.extend(lines)
+    return values, texts
 
 
 def extinct_marginal_samples(
@@ -478,11 +413,5 @@ def extinct_marginal_samples(
     without biasing atom-mass estimates upward; with the default cap this
     never happens away from d = 1.
     """
-    specs = [
-        (d, c, int(substream(seed, 0x71, k).integers(0, 2**62)), node_cap)
-        for k, c in enumerate(chunk_sizes(n, chunk))
-    ]
-    out: list[Fraction | None] = []
-    for part in parallel_map(_extinct_marginal_chunk, specs, workers=workers):
-        out.extend(part)
-    return out
+    return tree_marginal_samples(d, n, seed, chunk=chunk, workers=workers,
+                                 node_cap=node_cap)[0]

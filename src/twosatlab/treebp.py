@@ -193,11 +193,11 @@ def to_formula(t: TreeFormula, cap: int = 1 << 16):
 #   e.g. "(v [-+](v))" is the tree with marginal 1/3. A "!" directly after
 #   the v marks a surviving node in branching-process dumps.
 
+EDGE_TEXT = {ct: f" [{'+' if ct.s > 0 else '-'}{'+' if ct.s_prime > 0 else '-'}]"
+             for ct in CLAUSE_TYPES}
 
-def format_tree(t, marks: bool = False) -> str:
-    def sign(x):
-        return "+" if x > 0 else "-"
 
+def format_tree(t) -> str:
     out: list[str] = []
     stack: list = [("node", t)]
     while stack:
@@ -205,13 +205,11 @@ def format_tree(t, marks: bool = False) -> str:
         if op == "text":
             out.append(payload)
             continue
-        node = payload
-        mark = "!" if marks and getattr(node, "surviving", False) else ""
-        out.append(f"(v{mark}")
+        out.append("(v")
         stack.append(("text", ")"))
-        for (s, sp), child in reversed(node.children):
+        for ct, child in reversed(payload.children):
             stack.append(("node", child))
-            stack.append(("text", f" [{sign(s)}{sign(sp)}]"))
+            stack.append(("text", EDGE_TEXT[ct]))
     return "".join(out)
 
 

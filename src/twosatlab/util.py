@@ -52,10 +52,13 @@ def parallel_map(fn: Callable[[T], R], items: Sequence[T], workers: int | None =
     """Map `fn` over `items`, optionally in a process pool.
 
     Results come back in input order, so the output is identical for any
-    worker count; `fn` must be picklable (top-level function).
+    worker count; `fn` must be picklable (top-level function). An explicit
+    `workers` below 1 is a ValueError.
     """
     if workers is None:
         workers = default_workers()
+    elif workers < 1:
+        raise ValueError(f"workers must be a positive integer, got {workers}")
     items = list(items)
     if workers <= 1 or len(items) <= 1:
         return [fn(it) for it in items]

@@ -13,7 +13,8 @@ import twosatlab
 from twosatlab import acceptance, treebp
 from twosatlab.cli import main
 from twosatlab.densityev import read_population
-from twosatlab.util import child_env, parallel_map
+from twosatlab.analysis import mixture_decomposition
+from twosatlab.util import child_env, format_double, parallel_map
 
 
 def run_cli(args, cwd):
@@ -167,6 +168,70 @@ def test_gw_sample_tree_dump(tmp_path):
     lines = (tmp_path / "trees.txt").read_text().splitlines()
     assert len(lines) == 20
     assert all(line.startswith("(v!") for line in lines)
+    values = (tmp_path / "v.txt").read_text().splitlines()
+    assert values == [format_double(treebp.root_marginal(treebp.parse_tree(line)))
+                      for line in lines]
+
+
+@pytest.mark.parametrize("argv", [
+    ["--conditioned", "survive", "--method", "population", "--depth", "-3"],
+    ["--conditioned", "survive", "--method", "population", "--depth", "0"],
+    ["--conditioned", "survive", "--method", "tree", "--depth", "0"],
+    ["--conditioned", "none", "--depth", "-1"],
+    ["--n", "-1"],
+    ["--conditioned", "survive", "--method", "population", "--n", "-1"],
+    ["--conditioned", "none", "--method", "population"],
+    ["--conditioned", "extinct", "--method", "population"],
+], ids=["population-depth-neg", "population-depth-0", "tree-depth-0", "none-depth-neg",
+        "n-neg", "population-n-neg", "population-none", "population-extinct"])
+def test_gw_sample_rejects_bad_arguments(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    base = ["gw-sample", "--d", "1.5", "--n", "10", "--seed", "1", "--out", "v.txt"]
+    assert main(base + argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("invalid arguments:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("conditioned,method,depth,resolved", [
+    ("none", "auto", "20", "tree"), ("extinct", "auto", "20", "tree"),
+    ("survive", "auto", "20", "population"), ("survive", "auto", "3", "tree"),
+    ("none", "tree", "3", "tree"), ("survive", "population", "3", "population"),
+])
+def test_gw_sample_reports_the_method_it_ran(conditioned, method, depth, resolved, capsys):
+    argv = ["gw-sample", "--d", "1.5", "--n", "5", "--seed", "1", "--depth", depth,
+            "--conditioned", conditioned, "--method", method]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert json.loads(out[out.index("{"):])["method"] == resolved
+
+
+def test_gw_sample_rejected_dump_leaves_no_file(tmp_path):
+    dump = tmp_path / "trees.txt"
+    argv = ["gw-sample", "--d", "1.5", "--n", "5", "--seed", "1", "--conditioned", "survive",
+            "--method", "population", "--dump-trees", str(dump)]
+    assert main(argv) == 2
+    assert not dump.exists()
+
+
+@pytest.mark.parametrize("case", [["--conditioned", "none", "--depth", "4"],
+                                  ["--conditioned", "extinct"],
+                                  ["--conditioned", "survive", "--method", "tree",
+                                   "--depth", "4"]],
+                         ids=["none", "extinct", "survive"])
+def test_gw_sample_bytes_do_not_depend_on_workers(case, tmp_path, monkeypatch, capsys):
+    # 2500 trees span two chunks, so two workers really run the pool
+    monkeypatch.chdir(tmp_path)
+    runs = []
+    for workers in ("1", "2"):
+        assert main(["gw-sample", "--d", "1.5", "--n", "2500", "--seed", "4", *case,
+                     "--workers", workers, "--out", f"v{workers}.txt",
+                     "--dump-trees", f"t{workers}.txt"]) == 0
+        stdout = capsys.readouterr().out.replace(f"v{workers}.txt", "V").replace(
+            f"t{workers}.txt", "T")
+        runs.append(((tmp_path / f"v{workers}.txt").read_bytes(),
+                     (tmp_path / f"t{workers}.txt").read_bytes(), stdout))
+    assert runs[0] == runs[1]
+    assert len(runs[0][0].splitlines()) == len(runs[0][1].splitlines()) == 2500
 
 
 def test_main_in_process_invalid():
@@ -317,17 +382,17 @@ def test_exact_subcommands_load_no_numpy(argv):
 
 
 # every name `twosatlab` exported when it imported its submodules eagerly,
-# less `apply_ll_coupled`, which moved into tests/test_densityev.py
+# less `apply_ll_coupled`, which moved into tests/test_densityev.py, and the
+# node-object samplers, which `tree_marginal_samples` replaced
 EXPORTS = """
     AtomReport MixtureReport compare_distributions detect_atoms max_cluster_mass
     mixture_decomposition snap_to_fraction support_coverage FixpointResult Kind
     Population apply_de apply_ll fixpoint psi_push read_population wasserstein2
     write_population Formula SolutionStats count_solutions empirical_marginal_measure
     exact_marginals generate_formula is_satisfiable marginals_to_json read_formula
-    write_formula ExtinctionInfo GWNode GWTree coupled_increment_stats
-    extinct_marginal_samples extinction_probability from_tree_formula marginal_sequence
-    sample_extinct_conditioned sample_survival_conditioned sample_truncated
-    survival_theta_population tree_probability truncate log_clause_term phi psi
+    write_formula ExtinctionInfo GWTree coupled_increment_stats extinct_marginal_samples
+    extinction_probability from_tree_formula survival_theta_population
+    tree_marginal_samples tree_probability log_clause_term phi psi
     CLAUSE_TYPES ClauseType TreeFormula construct_rational_tree format_tree join leaf
     log_likelihood negate parse_tree root_marginal to_formula ResourceLimitError
 """.split()
@@ -355,6 +420,15 @@ def test_bad_workers_env_exits_invalid(raw, monkeypatch, capsys):
     assert main(["construct-tree", "2/5", "--workers", "1"]) == 0  # the flag wins
     with pytest.raises(ValueError, match="TWOSATLAB_WORKERS"):
         parallel_map(abs, [1, -2], workers=None)
+
+
+@pytest.mark.parametrize("workers", [0, -3])
+def test_parallel_map_rejects_nonpositive_workers(workers):
+    with pytest.raises(ValueError, match="workers must be a positive integer"):
+        parallel_map(abs, [1, -2], workers=workers)
+    with pytest.raises(ValueError, match="workers must be a positive integer"):
+        mixture_decomposition(1.5, n_discrete=10, n_continuous=10, L=3, seed=1,
+                              workers=workers)
 
 
 def test_verify_prints_criterion_seconds_on_stderr(monkeypatch, capsys):

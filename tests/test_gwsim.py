@@ -1,6 +1,7 @@
 """Branching-process samplers, conditioning, and the theta recursion."""
 
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -8,38 +9,127 @@ import pytest
 
 from twosatlab import (
     ClauseType,
-    GWNode,
     GWTree,
+    TreeFormula,
     coupled_increment_stats,
     extinct_marginal_samples,
     extinction_probability,
-    marginal_sequence,
-    sample_extinct_conditioned,
-    sample_survival_conditioned,
-    sample_truncated,
     survival_theta_population,
+    tree_marginal_samples,
     tree_probability,
-    truncate,
 )
 from twosatlab.densityev import Kind, Population, poisson_owners
 from twosatlab.analysis import compare_distributions
 from twosatlab.gwsim import (
     _drop_trees,
     _forest_root_pairs,
+    _forest_texts,
     _forest_theta_matrix,
+    _grow_forest,
     _increment_chunk,
-    _sample_extinct_forest,
     from_tree_formula,
 )
 from twosatlab.treebp import (
     CLAUSE_TYPES,
+    bp_pair,
     construct_rational_tree,
     fold,
     format_tree,
+    parse_tree,
     root_marginal,
 )
 from twosatlab.numerics import log_clause_term, psi
 from twosatlab.util import substream
+
+CASES = ("none", "extinct", "survive")
+
+
+class Node:
+    """Mutable tree node of the node-by-node oracle samplers."""
+
+    __slots__ = ("children", "live")
+
+    def __init__(self, live=False):
+        self.children = []
+        self.live = live
+
+
+def oracle_tree(rng, d, conditioned, depth=None):
+    """One tree drawn node by node, breadth first: the independent oracle for
+    `_grow_forest`.
+
+    Every node draws four Poisson(lam/4) packs, one per clause type (the
+    five-type definition); under survival conditioning a live node adds a
+    pack of live children drawn by rejection until it is not empty.
+    """
+    info = extinction_probability(d)
+    lam = d if conditioned == "none" else d * info.eta
+    root = Node(live=conditioned == "survive")
+    frontier, generation = [root], 0
+    while frontier and (depth is None or generation < depth):
+        nxt = []
+        for node in frontier:
+            counts = rng.poisson(lam / 4.0, size=4)
+            node.children = [(CLAUSE_TYPES[t], Node()) for t, c in enumerate(counts)
+                             for _ in range(c)]
+            if node.live:
+                k = 0
+                while k == 0:
+                    k = int(rng.poisson(d * info.zeta))
+                node.children += [(CLAUSE_TYPES[t], Node(live=True))
+                                  for t in rng.integers(0, 4, size=k)]
+            nxt.extend(c for _, c in node.children)
+        frontier, generation = nxt, generation + 1
+    return root
+
+
+def grow(conditioned, d, count, seed, depth=None, node_cap=10**9):
+    """`_grow_forest` with the offspring laws of `tree_marginal_samples`."""
+    info = extinction_probability(d)
+    lam = d if conditioned == "none" else d * info.eta
+    live_lam = d * info.zeta if conditioned == "survive" else None
+    return _grow_forest(substream(seed, 0), count, lam, node_cap, depth, live_lam)
+
+
+def forest_trees(levels, count):
+    """TreeFormula trees rebuilt bottom-up from a forest's level arrays."""
+    sizes = [count] + [len(parent) for parent, _ in levels]
+    nodes = [TreeFormula() for _ in range(sizes[-1])]
+    for g in range(len(levels), 0, -1):
+        parent, types = levels[g - 1]
+        kids = [[] for _ in range(sizes[g - 1])]
+        for p, t, node in zip(parent.tolist(), types.tolist(), nodes):
+            kids[p].append((CLAUSE_TYPES[t], node))
+        nodes = [TreeFormula(children=tuple(k)) for k in kids]
+    return nodes
+
+
+def _cut_pairs(kids):
+    """A node's marginals cut 0, 1, ..., height generations below it, from its
+    children's lists; past a node's height its marginal stays constant."""
+    if not kids:
+        return [(1, 2)]
+    height = max(len(seq) for _, seq in kids)
+    return [(1, 2)] + [
+        bp_pair([(ct, seq[j] if j < len(seq) else seq[-1]) for ct, seq in kids])
+        for j in range(height)
+    ]
+
+
+def marginal_sequence(root, depth):
+    """Root marginals of the cuts 0, 1, ..., depth generations below the root,
+    from one `fold` over node objects: the oracle for a forest's cut pairs.
+    Entry 0 is 1/2."""
+    seq = fold(root, _cut_pairs)
+    seq = seq[:depth + 1] + seq[-1:] * (depth + 1 - len(seq))
+    return [Fraction(a, b) for a, b in seq]
+
+
+def cut_marginals(levels, count, depth):
+    """Root marginals of every tree of a forest cut 0..depth generations down."""
+    return [[Fraction(a, b) for a, b in _forest_root_pairs(levels[:ell], count)]
+            for ell in range(depth + 1)]
+
 
 # -- extinction probability ----------------------------------------------------
 
@@ -68,19 +158,63 @@ def test_extinction_validates():
         extinction_probability(2.0)
 
 
-# -- unconditioned sampler -------------------------------------------------------
+# -- the level-array grower against the node-by-node oracle --------------------
+
+
+def level_counts(text, depth):
+    """Node count and live ("!") count of each generation 0..depth of a tree text."""
+    sizes, lives = [0] * (depth + 1), [0] * (depth + 1)
+    g = -1
+    for token in re.findall(r"\(v!?|\)", text):
+        g += -1 if token == ")" else 1
+        if token != ")":
+            sizes[g] += 1
+            lives[g] += token == "(v!"
+    return sizes, lives
+
+
+@pytest.mark.parametrize("conditioned", CASES)
+def test_grower_matches_node_oracle_in_law(conditioned):
+    # root offspring law, and the mean size and live count of each generation,
+    # read from the dumped texts of `tree_marginal_samples`
+    d, depth, n = 1.5, 4, 4000
+    case = CASES.index(conditioned)
+    _, texts = tree_marginal_samples(d, n, 50 + case, conditioned, depth, dump=True)
+    got = np.array([level_counts(text, depth) for text in texts])  # (n, 2, depth + 1)
+
+    rng = substream(51, case)
+    want = np.zeros_like(got)
+    for k in range(n):
+        gen = [oracle_tree(rng, d, conditioned, depth)]
+        for g in range(depth + 1):
+            want[k, :, g] = len(gen), sum(node.live for node in gen)
+            gen = [c for node in gen for _, c in node.children]
+
+    def close(a, b):
+        se = math.sqrt((np.var(a) + np.var(b)) / n)
+        return abs(np.mean(a) - np.mean(b)) <= 4 * se + 1e-12
+
+    for k in range(4):
+        assert close(got[:, 0, 1] == k, want[:, 0, 1] == k)
+    for g in range(1, depth + 1):
+        assert close(got[:, 0, g], want[:, 0, g]) and close(got[:, 1, g], want[:, 1, g])
+    if conditioned == "survive":
+        assert (got[:, 1, depth] >= 1).all() and (want[:, 1, depth] >= 1).all()
+
+
+# -- unconditioned trees -----------------------------------------------------------
 
 
 def test_truncated_level_zero():
-    t = sample_truncated(1.0, 0, seed=1)
-    assert t.root.children == [] and t.depth_limit == 0
+    levels, alive, marks = grow("none", 1.0, 50, seed=1, depth=0)
+    assert levels == [] and alive.all() and marks is None
+    assert tree_marginal_samples(1.0, 50, 1, "none", 0) == ([Fraction(1, 2)] * 50, [])
 
 
 def test_truncated_offspring_statistics():
     n = 30_000
-    counts = np.array(
-        [len(sample_truncated(1.0, 1, seed=s).root.children) for s in range(n)]
-    )
+    levels, _, _ = grow("none", 1.0, n, seed=2, depth=1)
+    counts = np.bincount(levels[0][0], minlength=n)
     iso = np.mean(counts == 0)
     se_iso = math.sqrt(math.exp(-1.0) * (1 - math.exp(-1.0)) / n)
     assert abs(iso - math.exp(-1.0)) <= 3 * se_iso
@@ -88,75 +222,65 @@ def test_truncated_offspring_statistics():
 
 
 def test_truncated_depth_respected():
-    t = sample_truncated(1.8, 3, seed=5)
-
-    def depth(node):
-        return 1 + max((depth(c) for _, c in node.children), default=0)
-
-    assert depth(t.root) <= 4
+    levels, _, _ = grow("none", 1.8, 200, seed=5, depth=3)
+    assert len(levels) == 3
+    _, texts = tree_marginal_samples(1.8, 200, 5, "none", 3, dump=True)
+    assert max(_depth(parse_tree(text)) for text in texts) == 4
 
 
 # -- marginal sequences ----------------------------------------------------------
 
 
 def test_sequence_isolated_root():
-    t = next(
-        t
-        for t in (sample_truncated(0.5, 4, seed=s) for s in range(100))
-        if not t.root.children
-    )
-    assert marginal_sequence(t) == [Fraction(1, 2)] * 5
+    assert marginal_sequence(TreeFormula(), 4) == [Fraction(1, 2)] * 5
 
 
 def test_sequence_single_negative_child():
-    root = GWNode(children=[(ClauseType(-1, 1), GWNode())])
-    t = GWTree(root=root, depth_limit=1, d=1.0)
-    assert marginal_sequence(t) == [Fraction(1, 2), Fraction(1, 3)]
+    root = TreeFormula(children=((ClauseType(-1, 1), TreeFormula()),))
+    assert marginal_sequence(root, 1) == [Fraction(1, 2), Fraction(1, 3)]
 
 
 def test_sequence_matches_truncations():
-    for seed in range(25):
-        t = sample_truncated(1.4, 4, seed=seed)
-        seq = marginal_sequence(t)
+    # a forest cut at depth l is its first l levels: its pairs, and BP on the
+    # cut trees rebuilt as TreeFormula trees, match the oracle's sequence
+    count = 25
+    levels, _, _ = grow("none", 1.4, count, seed=3, depth=4)
+    cuts = cut_marginals(levels, count, 4)
+    for k, root in enumerate(forest_trees(levels, count)):
+        seq = marginal_sequence(root, 4)
         assert seq[0] == Fraction(1, 2)
-        for ell in range(5):
-            cut = truncate(t, ell)
-            assert root_marginal(cut.root) == seq[ell]
-            assert marginal_sequence(cut) == seq[: ell + 1]
+        assert [cut[k] for cut in cuts] == seq
+    for ell in range(5):
+        assert [root_marginal(r) for r in forest_trees(levels[:ell], count)] == cuts[ell]
 
 
-def test_truncate_deep_chain_is_iterative():
-    # a 3000-deep chain: a recursive copy would overflow the interpreter stack
-    root = GWNode()
-    node = root
-    for _ in range(3000):
-        child = GWNode()
-        node.children.append((ClauseType(-1, 1), child))
-        node = child
-    full = marginal_sequence(GWTree(root=root, depth_limit=3000, d=1.0))
-    cut = truncate(GWTree(root=root, depth_limit=None, d=1.0), 1500)
-    assert cut.depth_limit == 1500
-    depth, node = 0, cut.root
-    while node.children:
-        (_, node), = node.children
-        depth += 1
-    assert depth == 1500
-    assert marginal_sequence(cut) == full[:1501]
+def test_forest_deep_chain_is_iterative():
+    # a 3000-deep chain: a recursive walk would overflow the interpreter stack.
+    # Each (-,+) edge maps q to q/(1+q), so the cut at depth l has marginal 1/(l+2)
+    depth = 3000
+    levels = [(np.zeros(1, dtype=np.int32), np.full(1, 2, dtype=np.int8))] * depth
+    assert CLAUSE_TYPES[2] == ClauseType(-1, 1)
+    assert _forest_root_pairs(levels[:1500], 1) == [(1, 1502)]
+    marks = [np.ones(1, dtype=bool)] * depth
+    for tags, head in ((None, "(v"), (marks, "(v!")):
+        (text,) = _forest_texts(levels, tags, 1)
+        assert text == (head + " [-+]") * depth + head + ")" * (depth + 1)
+        assert root_marginal(parse_tree(text)) == Fraction(1, depth + 2)
+    (text,) = _forest_texts(levels[:1500], None, 1)
+    assert root_marginal(parse_tree(text)) == Fraction(1, 1502)
 
 
 def test_sequence_decomposition_identity():
     # root marginal at depth l from the children's depth-(l-1) marginals,
     # split by the sign the root carries in each clause
-    for seed in range(25):
-        t = sample_truncated(1.5, 3, seed=1000 + seed)
-        seq = marginal_sequence(t)
+    levels, _, _ = grow("none", 1.5, 25, seed=1000, depth=3)
+    for root in forest_trees(levels, 25):
+        seq = marginal_sequence(root, 3)
         for ell in (1, 2, 3):
             num = Fraction(1)
             den = Fraction(1)
-            for (s, sp), child in t.root.children:
-                sub = marginal_sequence(
-                    GWTree(root=child, depth_limit=ell - 1, d=t.d)
-                )[ell - 1]
+            for (s, sp), child in root.children:
+                sub = marginal_sequence(child, ell - 1)[ell - 1]
                 factor = sub if sp > 0 else 1 - sub
                 if s < 0:
                     num *= factor
@@ -170,33 +294,29 @@ def test_theta_recursion_float_identity():
     def phi_frac(q):
         return math.log(q.numerator) - math.log(q.denominator - q.numerator)
 
-    for seed in range(20):
-        t = sample_truncated(1.2, 3, seed=2000 + seed)
-        ell = 3
-        theta_root = phi_frac(marginal_sequence(t)[ell])
+    levels, _, _ = grow("none", 1.2, 20, seed=2000, depth=3)
+    ell = 3
+    for root in forest_trees(levels, 20):
+        theta_root = phi_frac(marginal_sequence(root, ell)[ell])
         acc = 0.0
-        for (s, sp), child in t.root.children:
-            sub = marginal_sequence(GWTree(root=child, depth_limit=ell - 1, d=t.d))
-            theta_child = phi_frac(sub[ell - 1])
+        for (s, sp), child in root.children:
+            theta_child = phi_frac(marginal_sequence(child, ell - 1)[ell - 1])
             acc += s * math.log1p(math.exp(-sp * theta_child))
         assert theta_root == pytest.approx(acc, abs=1e-12)
 
 
 def test_all_marginals_interior():
-    for seed in range(40):
-        t = sample_truncated(1.9, 3, seed=seed)
-        for q in marginal_sequence(t):
-            assert 0 < q < 1
+    levels, _, _ = grow("none", 1.9, 40, seed=6, depth=3)
+    assert all(0 < q < 1 for cut in cut_marginals(levels, 40, 3) for q in cut)
 
 
-# -- conditioned samplers --------------------------------------------------------
+# -- conditioned trees -------------------------------------------------------------
 
 
 def test_extinct_subcritical_matches_unconditioned():
     n = 20_000
-    counts = np.array(
-        [len(sample_extinct_conditioned(0.8, seed=s).root.children) for s in range(n)]
-    )
+    levels, _, _ = grow("extinct", 0.8, n, seed=7, depth=1)
+    counts = np.bincount(levels[0][0], minlength=n)
     lam = 0.8
     for k in range(4):
         p = math.exp(-lam) * lam**k / math.factorial(k)
@@ -206,9 +326,8 @@ def test_extinct_subcritical_matches_unconditioned():
 
 def test_extinct_supercritical_mean_offspring():
     n = 20_000
-    counts = np.array(
-        [len(sample_extinct_conditioned(1.5, seed=s).root.children) for s in range(n)]
-    )
+    levels, _, _ = grow("extinct", 1.5, n, seed=8, depth=1)
+    counts = np.bincount(levels[0][0], minlength=n)
     target = 1.5 * extinction_probability(1.5).eta
     assert abs(counts.mean() - target) <= 3 * counts.std() / math.sqrt(n)
 
@@ -226,48 +345,41 @@ def test_extinct_oversize_policy():
     assert all(v is None or isinstance(v, Fraction) for v in vals)
 
 
-def _forest_nodes(levels, count):
-    """GWNode trees rebuilt from the batched sampler's level arrays."""
-    roots = [GWNode() for _ in range(count)]
-    gen = roots
-    for parent, types in levels:
-        nxt = []
-        for p, t in zip(parent.tolist(), types.tolist()):
-            child = GWNode()
-            gen[p].children.append((CLAUSE_TYPES[t], child))
-            nxt.append(child)
-        gen = nxt
-    return roots
-
-
 @pytest.mark.parametrize("d", [0.5, 0.8, 1.5, 1.9])
 def test_forest_pairs_match_tree_bp(d):
-    # the integer pair pass against Fraction BP on the same trees
-    count = 2500
-    lam = d * extinction_probability(d).eta
-    levels, alive = _sample_extinct_forest(substream(41, int(10 * d)), lam, count, 10**9)
-    roots = _forest_nodes(levels, count)
-    assert alive.all() and any(r.children for r in roots)
-    pairs = _forest_root_pairs(levels, count)
-    assert not levels  # consumed
-    assert [Fraction(a, b) for a, b in pairs] == [root_marginal(r) for r in roots]
-    assert all(math.gcd(a, b) == 1 for a, b in pairs)
+    # the integer pair pass against Fraction BP on the same trees rebuilt as
+    # TreeFormula trees, and the text form against format_tree, in every case
+    for conditioned, depth, count in (("extinct", None, 2500), ("none", 5, 600),
+                                      ("survive", 5, 200)):
+        if conditioned == "survive" and d < 1:
+            continue
+        levels, alive, marks = grow(conditioned, d, count, seed=int(10 * d), depth=depth)
+        roots = forest_trees(levels, count)
+        assert alive.all() and any(r.children for r in roots)
+        texts = _forest_texts(levels, marks, count)
+        assert [text.replace("!", "") for text in texts] == [format_tree(r) for r in roots]
+        n_live = 0 if marks is None else count + sum(int(m.sum()) for m in marks)
+        assert sum(text.count("!") for text in texts) == n_live
+        pairs = _forest_root_pairs(levels, count)
+        assert not levels  # consumed
+        assert [Fraction(a, b) for a, b in pairs] == [root_marginal(r) for r in roots]
+        assert all(math.gcd(a, b) == 1 for a, b in pairs)
 
 
 def test_forest_cap_drops_exactly_the_oversize_trees():
     # a one-tree forest draws the same numbers with or without a cap until
     # the cap stops it: a cap at the tree's true size keeps it, one less drops it
     for k in range(200):
-        full, _ = _sample_extinct_forest(substream(42, k), 1.0, 1, 10**9)
+        full, _, _ = _grow_forest(substream(42, k), 1, 1.0, 10**9)
         size = 1 + sum(len(parent) for parent, _ in full)
         for cap, kept in ((size, True), (size - 1, False)):
-            _, alive = _sample_extinct_forest(substream(42, k), 1.0, 1, cap)
+            _, alive, _ = _grow_forest(substream(42, k), 1, 1.0, cap)
             assert alive.tolist() == [kept]
     # many trees at once: every kept tree is within the cap, and a dropped
     # tree leaves only its root in the levels
     cap = 30
-    levels, alive = _sample_extinct_forest(substream(43, 0), 1.0, 2000, cap)
-    roots = _forest_nodes(levels, 2000)
+    levels, alive, _ = _grow_forest(substream(43, 0), 2000, 1.0, cap)
+    roots = forest_trees(levels, 2000)
     assert 0 < (~alive).sum() < 2000
     assert all(_count_nodes(r) <= cap if ok else not r.children
                for r, ok in zip(roots, alive))
@@ -275,13 +387,15 @@ def test_forest_cap_drops_exactly_the_oversize_trees():
 
 def test_drop_trees_leaves_the_kept_trees_intact():
     count = 300
-    levels, _ = _sample_extinct_forest(substream(44, 0), 0.8, count, 10**9)
-    full = [format_tree(r) for r in _forest_nodes(levels, count)]
-    alive = substream(44, 1).random(count) < 0.7
-    _drop_trees(levels, alive)
-    kept = [format_tree(r) for r in _forest_nodes(levels, count)]
-    assert kept == [text if ok else "(v)" for text, ok in zip(full, alive)]
-    assert all(parent.dtype == np.int32 and parent.size for parent, _ in levels)
+    for conditioned, d, depth, root in (("extinct", 0.8, None, "(v)"),
+                                        ("survive", 1.5, 4, "(v!)")):
+        levels, _, marks = grow(conditioned, d, count, seed=44, depth=depth)
+        full = _forest_texts(levels, marks, count)
+        alive = substream(44, 1).random(count) < 0.7
+        _drop_trees(levels, alive, marks)
+        kept = _forest_texts(levels, marks, count)
+        assert kept == [text if ok else root for text, ok in zip(full, alive)]
+        assert all(parent.dtype == np.int32 and parent.size for parent, _ in levels)
 
 
 def test_extinct_marginals_oversize_share_matches_borel_law():
@@ -300,20 +414,50 @@ def test_extinct_marginals_worker_invariant():
     assert one == two and len(one) == 500
 
 
+@pytest.mark.parametrize("conditioned", CASES)
+def test_tree_texts_parse_to_their_marginals(conditioned):
+    depth = None if conditioned == "extinct" else 4
+    vals, texts = tree_marginal_samples(1.5, 150, 7, conditioned, depth, chunk=60, dump=True)
+    assert len(vals) == len(texts) == 150
+    assert [root_marginal(parse_tree(text)) for text in texts] == vals
+    assert all(text.startswith("(v!") == (conditioned == "survive") for text in texts)
+    assert tree_marginal_samples(1.5, 150, 7, conditioned, depth, chunk=60) == (vals, [])
+
+
+def test_tree_marginal_samples_validate():
+    for args in ((1.5, 10, 1, "dead", 3), (1.5, 10, 1, "none"), (1.5, 10, 1, "none", -1),
+                 (1.5, -1, 1, "none", 3), (2.5, 10, 1, "none", 3)):
+        with pytest.raises(ValueError):
+            tree_marginal_samples(*args)
+
+
 def test_survival_requires_supercritical():
     with pytest.raises(ValueError):
-        sample_survival_conditioned(0.9, 5, seed=1)
+        tree_marginal_samples(0.9, 5, 1, "survive", 5)
+    with pytest.raises(ValueError):
+        survival_theta_population(0.9, 5, 100, seed=1)
+
+
+@pytest.mark.parametrize("L", [0, -3])
+def test_survival_depth_must_be_positive(L):
+    with pytest.raises(ValueError, match=">= 1"):
+        tree_marginal_samples(1.5, 5, 1, "survive", L)
+    with pytest.raises(ValueError, match=">= 1"):
+        survival_theta_population(1.5, L, 100, seed=1)
 
 
 def test_survival_marks_reach_depth():
-    for seed in range(30):
-        t = sample_survival_conditioned(1.5, 5, seed=seed)
-        assert t.root.surviving
-        node, depth = t.root, 0
-        while depth < 5:
-            live = [c for _, c in node.children if c.surviving]
-            assert live, "surviving node must keep a surviving child"
-            node, depth = live[0], depth + 1
+    # live nodes: the roots; every live node keeps a live child down to the
+    # cut; live children hang only below live parents, before their dead siblings
+    count, depth = 300, 5
+    levels, alive, marks = grow("survive", 1.5, count, seed=45, depth=depth)
+    assert alive.all() and len(levels) == len(marks) == depth
+    live = np.ones(count, dtype=bool)
+    for (parent, _), mark in zip(levels, marks):
+        assert live[parent[mark]].all()
+        assert (np.bincount(parent[mark], minlength=live.size) >= 1)[live].all()
+        assert not (mark[1:] & ~mark[:-1] & (parent[1:] == parent[:-1])).any()
+        live = mark
 
 
 def test_survival_root_counts_match_rejection_oracle():
@@ -331,14 +475,10 @@ def test_survival_root_counts_match_rejection_oracle():
     kept = np.array(kept[:kept_target])
 
     n_cond = 100_000
-    info = extinction_probability(d)
-    rng2 = substream(987, 1)
-    live = rng2.poisson(d * info.zeta, size=n_cond)
-    redo = live == 0
-    while redo.any():
-        live[redo] = rng2.poisson(d * info.zeta, size=int(redo.sum()))
-        redo = live == 0
-    cond = live + rng2.poisson(d * info.eta, size=n_cond)
+    levels, _, marks = grow("survive", d, n_cond, seed=988, depth=1)
+    parent = levels[0][0]
+    live = np.bincount(parent[marks[0]], minlength=n_cond)
+    cond = np.bincount(parent, minlength=n_cond)
 
     hi = int(max(kept.max(), cond.max())) + 1
     p_rej = np.bincount(kept, minlength=hi) / kept.size
@@ -352,10 +492,7 @@ def test_survival_root_counts_match_rejection_oracle():
 def test_survival_population_matches_exact_sampler():
     d, L = 1.5, 6
     theta = survival_theta_population(d, L, 30_000, seed=31)
-    exact = [
-        float(marginal_sequence(sample_survival_conditioned(d, L, seed=4000 + k))[-1])
-        for k in range(3000)
-    ]
+    exact = [float(q) for q in tree_marginal_samples(d, 3000, 4000, "survive", L)[0]]
     a = Population(samples=psi(theta), kind=Kind.MU)
     b = Population(samples=np.array(exact), kind=Kind.MU)
     assert compare_distributions(a, b)["w1"] <= 0.03
@@ -370,14 +507,12 @@ def test_survival_population_interior():
 
 
 def test_tree_probability_isolated_root():
-    iso = GWTree(root=GWNode(), depth_limit=None, d=0.8)
+    iso = GWTree(root=TreeFormula(), d=0.8)
     assert tree_probability(iso, 0.8) == pytest.approx(math.exp(-0.8), rel=1e-12)
 
 
 def test_tree_probability_single_clause_tree():
-    t = GWTree(
-        root=GWNode(children=[(ClauseType(-1, 1), GWNode())]), depth_limit=None, d=1.0
-    )
+    t = GWTree(root=TreeFormula(children=((ClauseType(-1, 1), TreeFormula()),)), d=1.0)
     assert tree_probability(t, 1.0) == pytest.approx(0.25 * math.exp(-2.0), rel=1e-12)
 
 
@@ -385,22 +520,18 @@ def test_tree_probability_multiplicity_needs_equal_subtrees():
     # two same-type children get the 1/2! correction only when their
     # subtrees are isomorphic
     ct, d = ClauseType(1, -1), 0.9
-    twins = GWNode(children=[(ct, GWNode()), (ct, GWNode())])
-    assert tree_probability(GWTree(root=twins, depth_limit=None, d=d), d) == pytest.approx(
+    twins = TreeFormula(children=((ct, TreeFormula()), (ct, TreeFormula())))
+    assert tree_probability(GWTree(root=twins, d=d), d) == pytest.approx(
         math.exp(-3 * d) * (d / 4) ** 2 / 2, rel=1e-12)
-    mixed = GWNode(children=[(ct, GWNode()), (ct, GWNode(children=[(ct, GWNode())]))])
-    assert tree_probability(GWTree(root=mixed, depth_limit=None, d=d), d) == pytest.approx(
+    chain = TreeFormula(children=((ct, TreeFormula()),))
+    mixed = TreeFormula(children=((ct, TreeFormula()), (ct, chain)))
+    assert tree_probability(GWTree(root=mixed, d=d), d) == pytest.approx(
         math.exp(-4 * d) * (d / 4) ** 3, rel=1e-12)
 
 
-def test_tree_probability_rejects_truncated():
-    with pytest.raises(ValueError):
-        tree_probability(sample_truncated(1.0, 2, seed=1), 1.0)
-
-
-def _expand(node) -> GWNode:
+def _expand(node) -> TreeFormula:
     """Copy of a (possibly shared) tree with every shared node copied."""
-    return GWNode(children=[(ct, _expand(c)) for ct, c in node.children])
+    return TreeFormula(children=tuple((ct, _expand(c)) for ct, c in node.children))
 
 
 def test_tree_probability_shared_matches_expanded():
@@ -413,7 +544,7 @@ def test_tree_probability_shared_matches_expanded():
             for d in (0.8, 1.5):
                 assert from_tree_formula(t, d).root is t
                 shared = tree_probability(from_tree_formula(t, d), d)
-                copied = GWTree(root=_expand(t), depth_limit=None, d=d)
+                copied = GWTree(root=_expand(t), d=d)
                 assert shared == pytest.approx(tree_probability(copied, d), rel=1e-12)
 
 
@@ -427,9 +558,7 @@ def _depth(node):
 
 def _sample_shape_capped(rng, d, max_nodes, max_depth):
     """Sample the tree only far enough to decide equality with a target."""
-    from twosatlab import CLAUSE_TYPES
-
-    root = GWNode()
+    root = Node()
     frontier = [root]
     nodes = 1
     depth = 0
@@ -445,7 +574,7 @@ def _sample_shape_capped(rng, d, max_nodes, max_depth):
                 return None
             for t, c in enumerate(counts):
                 for _ in range(int(c)):
-                    child = GWNode()
+                    child = Node()
                     node.children.append((CLAUSE_TYPES[t], child))
                     nxt.append(child)
         frontier = nxt
@@ -474,10 +603,10 @@ def shape_frequency(target: GWTree, d: float, n: int, seed: int) -> float:
 
 @pytest.mark.parametrize("seed", [11, 12, 13])
 def test_tree_probability_against_frequency_oracle(seed):
-    t = sample_extinct_conditioned(0.8, seed=seed)
-    if _count_nodes(t.root) > 6:
-        t = GWTree(root=GWNode(), depth_limit=None, d=0.8)
-    complete = GWTree(root=t.root, depth_limit=None, d=0.8)
+    root = oracle_tree(substream(seed, 1), 0.8, "extinct")
+    if _count_nodes(root) > 6:
+        root = Node()
+    complete = GWTree(root=root, d=0.8)
     p = tree_probability(complete, 0.8)
     n = 200_000
     freq = shape_frequency(complete, 0.8, n, seed=seed * 7)
@@ -503,15 +632,14 @@ def test_increment_ratios_bounded():
 
 @pytest.mark.parametrize("d", [1.0, 1.5])
 def test_increments_match_exact_sequence_oracle(d):
-    # oracle: |phi| increments of the exact marginal sequences of node-object
-    # trees, an independent sampler and an exact Fraction recursion
+    # oracle: |phi| increments of the exact cut marginals of level-array
+    # trees, an independent sampler and an exact integer recursion
     def phi_frac(q):
         return math.log(q.numerator) - math.log(q.denominator - q.numerator)
 
-    incs = np.array([
-        np.abs(np.diff([phi_frac(q) for q in marginal_sequence(sample_truncated(d, 4, k))]))
-        for k in range(3000)
-    ])
+    levels, _, _ = grow("none", d, 3000, seed=12, depth=4)
+    cuts = np.array([[phi_frac(q) for q in cut] for cut in cut_marginals(levels, 3000, 4)])
+    incs = np.abs(np.diff(cuts, axis=0)).T
     got = np.array([v for _, v in coupled_increment_stats(d, 3, 40_000, seed=12)])
     se = incs.std(axis=0) * math.sqrt(1 / 3000 + 1 / 40_000)
     assert np.all(np.abs(got - incs.mean(axis=0)) <= 4 * se)
