@@ -2,7 +2,7 @@
 
 Exact-rational sample lists get exact atom masses (counts per value);
 real-valued samples are clustered within a window and cluster centers are
-snapped to small-denominator fractions by Stern-Brocot search. The mixture
+snapped to the closest small-denominator fraction. The mixture
 decomposition splits the limiting law into the extinction-conditioned
 discrete part (weight eta) and the survival-conditioned continuous part
 (weight 1-eta).
@@ -22,30 +22,18 @@ from .gwsim import (
     survival_theta_population,
 )
 from .numerics import psi
-from .util import substream
+from .util import subseed
 
 
 def snap_to_fraction(x: float, max_den: int) -> Fraction:
-    """Closest fraction to x with denominator <= max_den (mediant search)."""
+    """Closest fraction to x with denominator <= max_den; 0 or 1 outside (0,1).
+
+    Distances are exact; a tie (x the midpoint of two Farey neighbours, such
+    as 1/8 between 0 and 1/4 at max_den 4) goes to the smaller denominator.
+    """
     if x <= 0 or x >= 1:
         return Fraction(0) if x <= 0 else Fraction(1)
-    lo_n, lo_d = 0, 1
-    hi_n, hi_d = 1, 1
-    best = Fraction(0) if x < 0.5 else Fraction(1)
-    while True:
-        med_n, med_d = lo_n + hi_n, lo_d + hi_d
-        if med_d > max_den:
-            break
-        med = Fraction(med_n, med_d)
-        if abs(x - med) < abs(x - best):
-            best = med
-        if x * med_d > med_n:
-            lo_n, lo_d = med_n, med_d
-        elif x * med_d < med_n:
-            hi_n, hi_d = med_n, med_d
-        else:
-            return med
-    return best
+    return Fraction(x).limit_denominator(max_den)
 
 
 def max_cluster_mass(samples: np.ndarray, window: float) -> float:
@@ -222,7 +210,7 @@ def mixture_decomposition(
     """
     info = extinction_probability(d)
     raw = extinct_marginal_samples(
-        d, n_discrete, seed=int(substream(seed, 0x90).integers(0, 2**62)),
+        d, n_discrete, seed=subseed(seed, 0x90),
         workers=workers, node_cap=1_000_000,
     )
     fracs = [q for q in raw if q is not None]
@@ -233,11 +221,11 @@ def mixture_decomposition(
     continuous = None
     if d > 1.0:
         theta = survival_theta_population(
-            d, L, n_continuous, seed=int(substream(seed, 0x91).integers(0, 2**62))
+            d, L, n_continuous, seed=subseed(seed, 0x91)
         )
         mu = psi(theta)
         theta_deep = survival_theta_population(
-            d, L + 2, n_continuous, seed=int(substream(seed, 0x92).integers(0, 2**62))
+            d, L + 2, n_continuous, seed=subseed(seed, 0x92)
         )
         mu_deep = psi(theta_deep)
         drift = float(np.mean(np.abs(np.sort(mu) - np.sort(mu_deep))))

@@ -2,8 +2,9 @@
 
 One binary, subcommand style; JSON for structured results, CSV for vectors
 and histograms, and the dedicated text formats for formulas, trees and
-populations. Every JSON/CSV artifact embeds the resolved run configuration
-(including the seed, auto-generated when absent) so it can be reproduced.
+populations. `main` resolves the run configuration once (drawing the seed
+when absent) and hands it to the subcommand, whose JSON/CSV artifacts all
+embed it, so each one can be reproduced.
 Exit codes: 0 ok, 1 verification failure, 2 invalid arguments, 3 resource
 limits.
 
@@ -16,7 +17,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 
 from . import treebp
 from .util import (COMPONENT_CAP, ENUM_CAP, ResourceLimitError, default_workers,
@@ -26,40 +26,9 @@ EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
 EXIT_INVALID = 2
 EXIT_RESOURCE = 3
-
-
-@dataclass
-class RunConfig:
-    subcommand: str
-    params: dict
-    seed: int | None
-
-    def as_dict(self):
-        return {"subcommand": self.subcommand, "params": self.params, "seed": self.seed}
-
-
-def _resolve_seed(args) -> int | None:
-    seed = getattr(args, "seed", None)
-    if seed is None and hasattr(args, "seed"):
-        import secrets
-
-        seed = secrets.randbits(48)
-        args.seed = seed
-    return seed
-
-
-def _config(args, name: str) -> RunConfig:
-    # embedded configs omit the worker count: results are worker-invariant,
-    # so artifacts must stay byte-identical for any parallelism
-    skip = {"func", "out", "emit_trace", "hist", "subcommand", "seed", "workers"}
-    params = {
-        k: v for k, v in vars(args).items() if k not in skip and not k.startswith("_")
-    }
-    return RunConfig(
-        subcommand=name,
-        params=params,
-        seed=getattr(args, "seed", None),
-    )
+# embedded configs omit the worker count: results are worker-invariant, so
+# artifacts must stay byte-identical for any parallelism
+_NOT_PARAMS = {"func", "out", "emit_trace", "hist", "subcommand", "seed", "workers"}
 
 
 def _positive_int(text: str) -> int:
@@ -68,24 +37,32 @@ def _positive_int(text: str) -> int:
     return int(text)
 
 
-def _emit_json(payload: dict, cfg: RunConfig) -> None:
-    payload = {"config": cfg.as_dict(), **payload}
-    print(json.dumps(payload, indent=2, sort_keys=True))
+def _write(text: str, path=None) -> None:
+    """Write `text` to the file `path`, or to stdout when there is none."""
+    if path:
+        with open(path, "w") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
 
 
-def _open_out(path):
-    return open(path, "w") if path else sys.stdout
+def _emit_json(payload: dict, cfg: dict, path=None) -> None:
+    _write(json.dumps({"config": cfg, **payload}, indent=2, sort_keys=True) + "\n", path)
+
+
+def _write_csv(path: str, cfg: dict, header: str, rows) -> None:
+    """Write a CSV artifact: a `# config:` line, the header, then the rows."""
+    lines = [f"# config: {json.dumps(cfg, sort_keys=True)}", header, *rows]
+    _write("".join(line + "\n" for line in lines), path)
 
 
 # -- subcommand bodies --------------------------------------------------------
 
 
-def cmd_gen(args):
+def cmd_gen(args, cfg):
     from . import formula
 
-    _resolve_seed(args)
     f = formula.generate_formula(args.n, args.d, args.seed)
-    cfg = _config(args, "gen")
     if args.out:
         with open(args.out, "w") as fh:
             formula.write_formula(f, fh)
@@ -94,13 +71,12 @@ def cmd_gen(args):
         formula.write_formula(f, sys.stdout)
 
 
-def cmd_count(args):
+def cmd_count(args, cfg):
     from . import formula
 
     with open(args.infile) as fh:
         f = formula.read_formula(fh)
     stats = formula.count_solutions(f, cap=args.cap)
-    cfg = _config(args, "count")
     _emit_json(
         {
             "n": f.n,
@@ -113,24 +89,20 @@ def cmd_count(args):
     )
 
 
-def cmd_marginals(args):
+def cmd_marginals(args, cfg):
     from . import formula
 
     with open(args.infile) as fh:
         f = formula.read_formula(fh)
     marg = formula.exact_marginals(f, component_cap=args.component_cap)
-    cfg = _config(args, "marginals")
     payload = formula.marginals_to_json(f.n, marg)
     if args.out:
-        with open(args.out, "w") as fh:
-            json.dump({"config": cfg.as_dict(), **payload}, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        _emit_json({"n": f.n, "unsat": marg is None, "out": args.out}, cfg)
-    else:
-        _emit_json(payload, cfg)
+        _emit_json(payload, cfg, args.out)
+        payload = {"n": f.n, "unsat": marg is None, "out": args.out}
+    _emit_json(payload, cfg)
 
 
-def cmd_tree_bp(args):
+def cmd_tree_bp(args, cfg):
     if args.tree is None and args.infile is None:
         raise ValueError("pass a tree with --tree or --in")
     if args.tree:
@@ -139,7 +111,6 @@ def cmd_tree_bp(args):
         with open(args.infile) as fh:
             t = treebp.parse_tree(fh.read())
     q = treebp.root_marginal(t)
-    cfg = _config(args, "tree-bp")
     _emit_json(
         {
             "marginal": f"{q.numerator}/{q.denominator}",
@@ -150,7 +121,7 @@ def cmd_tree_bp(args):
     )
 
 
-def cmd_construct_tree(args):
+def cmd_construct_tree(args, cfg):
     a, b = args.fraction.split("/")
     t = treebp.construct_rational_tree(int(a), int(b))
     q = treebp.root_marginal(t)
@@ -158,12 +129,12 @@ def cmd_construct_tree(args):
     print(f"marginal={q.numerator}/{q.denominator}")
 
 
-def cmd_gw_sample(args):
+def cmd_gw_sample(args, cfg):
     from . import gwsim
 
-    _resolve_seed(args)
-    cfg = _config(args, "gw-sample")
     info = gwsim.extinction_probability(args.d)
+    # extinct trees are never cut: neither the sampler nor the summary gets a depth
+    depth = None if args.conditioned == "extinct" else args.depth
     method = args.method
     if method == "auto":
         method = "population" if args.conditioned == "survive" and args.depth > 12 else "tree"
@@ -174,9 +145,8 @@ def cmd_gw_sample(args):
             raise ValueError("--dump-trees needs --method tree")
         from .numerics import psi
 
-        values = psi(gwsim.survival_theta_population(args.d, args.depth, args.n, args.seed))
+        values = psi(gwsim.survival_theta_population(args.d, depth, args.n, args.seed))
     else:
-        depth = None if args.conditioned == "extinct" else args.depth
         fracs, texts = gwsim.tree_marginal_samples(
             args.d, args.n, args.seed, args.conditioned, depth,
             workers=args.workers, dump=bool(args.dump_trees))
@@ -187,35 +157,27 @@ def cmd_gw_sample(args):
             with open(args.dump_trees, "w") as fh:
                 fh.writelines(text + "\n" for text in texts)
 
-    out = _open_out(args.out)
-    for v in values:
-        out.write(format_double(v) + "\n")
-    if args.out:
-        out.close()
+    _write("".join(format_double(v) + "\n" for v in values), args.out)
     summary = {
         "eta": info.eta,
         "samples": int(args.n),
-        "depth": args.depth,
+        "depth": depth,
         "method": method,
     }
     _emit_json(summary, cfg)
 
 
-def cmd_density_evolution(args):
+def cmd_density_evolution(args, cfg):
     from . import densityev
 
-    _resolve_seed(args)
-    cfg = _config(args, "density-evolution")
     res = densityev.fixpoint(
         args.d, args.size, max_iter=args.iters, tol=args.tol, seed=args.seed,
         operator=args.operator,
     )
     if args.emit_trace:
-        with open(args.emit_trace, "w") as fh:
-            fh.write("# config: " + json.dumps(cfg.as_dict(), sort_keys=True) + "\n")
-            fh.write("iter,w2_step,mass_at_half\n")
-            for it, w2, mass in res.trace:
-                fh.write(f"{it},{format_double(w2)},{format_double(mass)}\n")
+        _write_csv(args.emit_trace, cfg, "iter,w2_step,mass_at_half",
+                   (f"{it},{format_double(w2)},{format_double(mass)}"
+                    for it, w2, mass in res.trace))
     if args.out:
         pop = res.population
         with open(args.out, "w") as fh:
@@ -235,7 +197,7 @@ def cmd_density_evolution(args):
     )
 
 
-def cmd_atoms(args):
+def cmd_atoms(args, cfg):
     from . import analysis, densityev, gwsim
 
     with open(args.infile) as fh:
@@ -243,7 +205,6 @@ def cmd_atoms(args):
     report = analysis.detect_atoms(
         pop, window=args.window, max_den=args.max_den, min_count=args.min_count
     )
-    cfg = _config(args, "atoms")
     d = args.d if args.d is not None else pop.d
     rows = []
     for atom in report.atoms:
@@ -265,11 +226,9 @@ def cmd_atoms(args):
     _emit_json({"report": report.as_dict(), "table": rows, "d": d}, cfg)
 
 
-def cmd_mixture(args):
+def cmd_mixture(args, cfg):
     from . import analysis
 
-    _resolve_seed(args)
-    cfg = _config(args, "mixture")
     rep = analysis.mixture_decomposition(
         args.d,
         n_discrete=args.n_discrete,
@@ -283,41 +242,33 @@ def cmd_mixture(args):
         workers=args.workers,
     )
     if args.hist and rep.continuous_summary:
-        with open(args.hist, "w") as fh:
-            fh.write("# config: " + json.dumps(cfg.as_dict(), sort_keys=True) + "\n")
-            fh.write("bin_lo,bin_hi,count\n")
-            for row in rep.continuous_summary["histogram"]:
-                fh.write(f"{row['bin_lo']:.6f},{row['bin_hi']:.6f},{row['count']}\n")
+        _write_csv(args.hist, cfg, "bin_lo,bin_hi,count",
+                   (f"{row['bin_lo']:.6f},{row['bin_hi']:.6f},{row['count']}"
+                    for row in rep.continuous_summary["histogram"]))
     payload = rep.as_dict()
     if args.out:
-        with open(args.out, "w") as fh:
-            json.dump({"config": cfg.as_dict(), **payload}, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        _emit_json({"out": args.out, "eta": rep.eta}, cfg)
-    else:
-        _emit_json(payload, cfg)
+        _emit_json(payload, cfg, args.out)
+        payload = {"out": args.out, "eta": rep.eta}
+    _emit_json(payload, cfg)
 
 
-def cmd_compare(args):
+def cmd_compare(args, cfg):
     from . import analysis, densityev
 
     with open(args.pop_a) as fh:
         pa = densityev.read_population(fh)
     with open(args.pop_b) as fh:
         pb = densityev.read_population(fh)
-    cfg = _config(args, "compare")
     _emit_json(analysis.compare_distributions(pa, pb), cfg)
 
 
-def cmd_verify(args):
+def cmd_verify(args, cfg) -> int:
     from . import acceptance
 
-    results = acceptance.run_all(quick=args.quick, workers=args.workers,
-                                 base_seed=args.seed if args.seed is not None else 20240801)
+    results = acceptance.run_all(quick=args.quick, workers=args.workers, base_seed=args.seed)
     for r in results:  # timings on stderr: stdout stays byte-identical
         print(f"C{r.number:02d} {r.seconds:.3f} s", file=sys.stderr)
-    failed = [r for r in results if not r.passed]
-    sys.exit(EXIT_VERIFY_FAIL if failed else EXIT_OK)
+    return EXIT_VERIFY_FAIL if any(not r.passed for r in results) else EXIT_OK
 
 
 # -- parser --------------------------------------------------------------------
@@ -409,7 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("verify", cmd_verify, help="run the acceptance suite")
     p.add_argument("--quick", action="store_true")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=20240801)
 
     return ap
 
@@ -417,21 +368,23 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     if hasattr(sys, "set_int_max_str_digits"):  # exact values can be any length
         sys.set_int_max_str_digits(0)
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    if getattr(args, "seed", 0) is None:  # drawn once, so every artifact records it
+        import secrets
+
+        args.seed = secrets.randbits(48)
+    cfg = {"subcommand": args.subcommand, "seed": getattr(args, "seed", None),
+           "params": {k: v for k, v in vars(args).items() if k not in _NOT_PARAMS}}
     try:
         if args.workers is None:
             args.workers = default_workers()
-        args.func(args)
+        return args.func(args, cfg) or EXIT_OK
     except ResourceLimitError as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
     except (ValueError, FileNotFoundError) as exc:
         print(f"invalid arguments: {exc}", file=sys.stderr)
         return EXIT_INVALID
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    return EXIT_OK
 
 
 if __name__ == "__main__":

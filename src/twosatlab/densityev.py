@@ -7,13 +7,15 @@ marginal probabilities on (0,1). One generation of the recursion is
     theta' = sum_{i=1}^{D} s_i * log((1 + s_i' tanh(theta_i/2)) / 2),  D ~ Po(d)
 
 with independent uniform signs s, s' and theta_i resampled from the input
-population; the MU-coordinate twin draws two Poisson(d/2) packs of factors.
-Every Poisson pack of a population is Poissonized (`poisson_owners`): one
-Poisson(lam * size) total of terms, each given a uniform owner, so the
-per-output counts are i.i.d. Poisson(lam) without a per-output draw.
+population; the MU-coordinate twin takes the difference of two Poisson(d/2)
+packs of resampled log-marginals. Every Poisson pack of a population is
+Poissonized (`poisson_owners`): one Poisson(lam * size) total of terms,
+each given a uniform owner, so the per-output counts are i.i.d.
+Poisson(lam) without a per-output draw.
 A THETA term is one uniform key into a `clause_table` (value and s'), and
-its sign s comes from Poisson splitting (`split_packs`), so no term pays a
-transcendental or a sign draw; a zero-truncated pack is exact thinning.
+its sign s comes from Poisson splitting (`split_packs`, which also splits
+the two MU packs), so no term pays a transcendental or a sign draw; a
+zero-truncated pack is exact thinning.
 Iterating from the point mass at zero drives the population to the unique
 fixed point, monitored in the exact Wasserstein-2 metric between equal-size
 empirical measures (root-mean-square of sorted-sample differences).
@@ -29,7 +31,7 @@ from typing import IO
 import numpy as np
 
 from .numerics import psi
-from .util import substream
+from .util import subseed, substream
 
 
 class Kind(enum.Enum):
@@ -145,15 +147,8 @@ def apply_de(p: Population, d: float, seed: int) -> Population:
         raise ValueError("apply_de needs a MU population")
     if np.any(p.samples <= 0.0) or np.any(p.samples >= 1.0):
         raise ValueError("apply_de needs samples strictly inside (0,1)")
-    rng = substream(seed, 0x0D)
-    logs = np.log(p.samples)
-
-    def pack():
-        owner = poisson_owners(rng, d / 2.0, p.size)
-        idx = rng.integers(0, p.size, size=owner.size)
-        return np.bincount(owner, weights=logs[idx], minlength=p.size)
-
-    out = psi(pack() - pack())  # log_minus - log_plus, drawn in that order
+    terms = split_packs(substream(seed, 0x0D), np.log(p.samples), d, p.size)
+    out = psi(-resample_log_terms(*terms, p.size))  # s = -1 pack less the s = +1 one
     return Population(samples=out, kind=Kind.MU, d=d,
                       generation=p.generation + 1, seed=seed)
 
@@ -220,8 +215,8 @@ def fixpoint(
     result = FixpointResult(population=cur)
     cur_sorted = np.sort(cur.samples)
     for it in range(1, max_iter + 1):
-        nxt = step(cur, d, seed=int(substream(seed, it, 0).integers(0, 2**62)))
-        again = step(cur, d, seed=int(substream(seed, it, 1).integers(0, 2**62)))
+        nxt = step(cur, d, seed=subseed(seed, it, 0))
+        again = step(cur, d, seed=subseed(seed, it, 1))
         nxt_sorted = np.sort(nxt.samples)
         floor = _w2_sorted(nxt_sorted, np.sort(again.samples))
         w2 = _w2_sorted(cur_sorted, nxt_sorted)

@@ -45,7 +45,7 @@ import numpy as np
 from .densityev import (clause_table, poisson_owners, resample_log_terms, split_packs,
                         zero_truncated_owners)
 from .treebp import CLAUSE_TYPES, EDGE_TEXT, TreeFormula, bp_pair, fold
-from .util import chunk_sizes, parallel_map, substream
+from .util import chunk_sizes, parallel_map, subseed, substream
 
 _NODE_CAP = 20_000_000
 
@@ -191,7 +191,7 @@ def coupled_increment_stats(
     if N < 1:
         raise ValueError("N must be >= 1")
     specs = [
-        (d, L, c, int(substream(seed, 0x70, k).integers(0, 2**62)))
+        (d, L, c, subseed(seed, 0x70, k))
         for k, c in enumerate(chunk_sizes(N, chunk))
     ]
     sums = sum(parallel_map(_increment_chunk, specs, workers=workers))
@@ -388,7 +388,7 @@ def tree_marginal_samples(
     live_lam = d * info.zeta if conditioned == "survive" else None
     specs = [
         (_FOREST_TAGS[conditioned], lam, live_lam, depth, c,
-         int(substream(seed, 0x71, k).integers(0, 2**62)), node_cap, dump)
+         subseed(seed, 0x71, k), node_cap, dump)
         for k, c in enumerate(chunk_sizes(n, chunk))
     ]
     values: list[Fraction | None] = []

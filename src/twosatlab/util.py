@@ -35,6 +35,11 @@ def substream(seed: int, *path: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([int(seed), *map(int, path)]))
 
 
+def subseed(seed: int, *path: int) -> int:
+    """Integer seed for (seed, path): the first 62-bit draw of its substream."""
+    return int(substream(seed, *path).integers(0, 2**62))
+
+
 def default_workers() -> int:
     """Worker count from the environment (1 when unset); ValueError unless a
     positive integer."""

@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from twosatlab import (
     Kind,
@@ -28,6 +30,23 @@ def test_snap_to_fraction():
     assert snap_to_fraction(0.5, 64) == Fraction(1, 2)
     assert snap_to_fraction(5 / 7 - 1e-9, 10) == Fraction(5, 7)
     assert snap_to_fraction(0.09, 10) == Fraction(1, 10)
+    assert snap_to_fraction(-0.2, 8) == 0 and snap_to_fraction(1.0, 8) == 1
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True), st.integers(1, 200))
+@example(0.125, 4)  # exact ties between Farey neighbours
+@example(0.875, 4)
+@example(0.5, 1)
+def test_snap_to_fraction_is_the_closest_fraction(x, max_den):
+    exact = Fraction(x)
+    # floor(x b)/b and the next multiple of 1/b are the closest fractions over b
+    candidates = [Fraction(math.floor(exact * b) + k, b)
+                  for b in range(1, max_den + 1) for k in (0, 1)]
+    best = min(abs(exact - c) for c in candidates)
+    q = snap_to_fraction(x, max_den)
+    assert q.denominator <= max_den and abs(exact - q) == best
+    assert q.denominator == min(c.denominator for c in candidates if abs(exact - c) == best)
 
 
 def test_detect_atoms_exact_point_mass():

@@ -202,7 +202,23 @@ def test_gw_sample_reports_the_method_it_ran(conditioned, method, depth, resolve
             "--conditioned", conditioned, "--method", method]
     assert main(argv) == 0
     out = capsys.readouterr().out
-    assert json.loads(out[out.index("{"):])["method"] == resolved
+    summary = json.loads(out[out.index("{"):])
+    assert summary["method"] == resolved
+    assert summary["depth"] == (None if conditioned == "extinct" else int(depth))
+
+
+def test_gw_sample_extinct_summary_reports_no_depth(tmp_path, monkeypatch, capsys):
+    # extinct trees are never cut, so --depth changes nothing and is not reported
+    monkeypatch.chdir(tmp_path)
+    runs = []
+    for depth in ("2", "30"):
+        assert main(["gw-sample", "--d", "1.5", "--n", "50", "--seed", "6", "--depth", depth,
+                     "--conditioned", "extinct", "--out", f"v{depth}.txt"]) == 0
+        summary = json.loads(capsys.readouterr().out)
+        assert summary["depth"] is None
+        assert summary["config"]["params"]["depth"] == int(depth)  # the typed flag
+        runs.append((tmp_path / f"v{depth}.txt").read_bytes())
+    assert runs[0] == runs[1]
 
 
 def test_gw_sample_rejected_dump_leaves_no_file(tmp_path):
@@ -429,6 +445,41 @@ def test_parallel_map_rejects_nonpositive_workers(workers):
     with pytest.raises(ValueError, match="workers must be a positive integer"):
         mixture_decomposition(1.5, n_discrete=10, n_continuous=10, L=3, seed=1,
                               workers=workers)
+
+
+def _header_config(path):
+    header = path.read_text().splitlines()[0]
+    assert header.startswith("# config: ")
+    return json.loads(header[len("# config: "):])
+
+
+def test_one_run_embeds_one_config(tmp_path, monkeypatch, capsys):
+    # no --seed: the drawn seed must be the same in stdout and every artifact;
+    # verify's --seed must reach run_all
+    monkeypatch.chdir(tmp_path)
+    assert main(["density-evolution", "--d", "1.2", "--size", "500", "--iters", "3",
+                 "--emit-trace", "t.csv"]) == 0
+    cfg = json.loads(capsys.readouterr().out)["config"]
+    assert isinstance(cfg["seed"], int) and cfg["subcommand"] == "density-evolution"
+    assert _header_config(tmp_path / "t.csv") == cfg
+
+    assert main(["mixture", "--d", "1.5", "--n-discrete", "300", "--n-continuous", "300",
+                 "--depth", "5", "--out", "m.json", "--hist", "h.csv"]) == 0
+    cfg = json.loads(capsys.readouterr().out)["config"]
+    assert isinstance(cfg["seed"], int) and cfg["subcommand"] == "mixture"
+    assert json.loads((tmp_path / "m.json").read_text())["config"] == cfg
+    assert _header_config(tmp_path / "h.csv") == cfg
+
+    seeds = []
+
+    def record(ctx):
+        seeds.append(ctx.seed)
+        return acceptance.CriterionResult(1, "seed", True, "ok")
+
+    monkeypatch.setattr(acceptance, "CRITERIA", [record])
+    assert main(["verify", "--quick", "--seed", "77"]) == 0
+    assert main(["verify", "--quick"]) == 0
+    assert seeds == [77, 20240801]
 
 
 def test_verify_prints_criterion_seconds_on_stderr(monkeypatch, capsys):
