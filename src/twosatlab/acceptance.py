@@ -107,7 +107,7 @@ class Context:
 
     def watch_fractions(self, label: str, values) -> None:
         for q in values:
-            if q <= 0 or q >= 1:
+            if not 0 < q.numerator < q.denominator:
                 self.boundary_violations.append(f"{label}: {q}")
                 return
 

@@ -10,8 +10,10 @@ discrete part (weight eta) and the survival-conditioned continuous part
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import attrgetter
 
 import numpy as np
 
@@ -127,14 +129,10 @@ def detect_atoms(
 
     found: dict[Fraction, tuple[int, float]] = {}
     residual = 0
-    if exact:
-        counts: dict[Fraction, int] = {}
-        for v in values:
-            counts[v] = counts.get(v, 0) + 1
-        for v, c in counts.items():
+    if exact:  # reduced (numerator, denominator) keys hash far faster than Fractions
+        for (a, b), c in Counter(map(attrgetter("numerator", "denominator"), values)).items():
             if c >= min_count:
-                prev = found.get(v, (0, 0.0))
-                found[v] = (prev[0] + c, 0.0)
+                found[Fraction(a, b)] = (c, 0.0)
             else:
                 residual += c
     else:
@@ -216,7 +214,7 @@ def mixture_decomposition(
     fracs = [q for q in raw if q is not None]
     oversize = len(raw) - len(fracs)
     discrete = detect_atoms(fracs, window=window, max_den=max_den, min_count=min_count)
-    boundary = sum(1 for q in fracs if q <= 0 or q >= 1)
+    boundary = sum(1 for q in fracs if not 0 < q.numerator < q.denominator)
 
     continuous = None
     if d > 1.0:

@@ -229,6 +229,8 @@ def cmd_atoms(args, cfg):
 def cmd_mixture(args, cfg):
     from . import analysis
 
+    if args.hist and args.d <= 1:
+        raise ValueError("--hist needs d > 1: below it the law has no continuous part")
     rep = analysis.mixture_decomposition(
         args.d,
         n_discrete=args.n_discrete,
@@ -241,7 +243,7 @@ def cmd_mixture(args, cfg):
         min_count=args.min_count,
         workers=args.workers,
     )
-    if args.hist and rep.continuous_summary:
+    if args.hist:
         _write_csv(args.hist, cfg, "bin_lo,bin_hi,count",
                    (f"{row['bin_lo']:.6f},{row['bin_hi']:.6f},{row['count']}"
                     for row in rep.continuous_summary["histogram"]))
@@ -379,8 +381,8 @@ def main(argv=None) -> int:
         if args.workers is None:
             args.workers = default_workers()
         return args.func(args, cfg) or EXIT_OK
-    except ResourceLimitError as exc:
-        print(f"resource limit: {exc}", file=sys.stderr)
+    except (ResourceLimitError, MemoryError) as exc:
+        print(f"resource limit: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_RESOURCE
     except (ValueError, FileNotFoundError) as exc:
         print(f"invalid arguments: {exc}", file=sys.stderr)

@@ -20,7 +20,8 @@ with a live mark per node under survival conditioning, cut at a depth
 limit, then folds the generations bottom-up into reduced integer pairs with
 `treebp.bp_pair`. The same arrays give the text form of every tree. A tree
 with more than node_cap nodes leaves the frontier as soon as it passes the
-cap and comes back as None.
+cap and comes back as None; tree sizes are tracked only once the chunk's
+node total passes the cap, so until then a generation costs just its draws.
 
 The float theta recursions (`coupled_increment_stats`,
 `survival_theta_population`) draw their Poisson packs Poissonized
@@ -250,32 +251,41 @@ def _grow_forest(rng, count: int, lam: float, node_cap: int, depth: int | None =
     that takes it over the cap, and `_drop_trees` then removes its nodes
     below the root, so the pair pass spends no time on them.
     """
-    tree = np.arange(count)  # tree of each frontier node
     live = None if live_lam is None else np.ones(count, dtype=bool)
-    size = np.ones(count, dtype=np.int64)
-    alive = size <= node_cap
+    n, total = count, count  # frontier nodes, nodes grown so far
+    tree = size = None  # frontier trees and tree sizes, kept once total > node_cap
     levels, marks = [], None if live is None else []
-    while tree.size and (depth is None or len(levels) < depth):
-        kids = rng.poisson(lam, size=tree.size)
+    while n and (depth is None or len(levels) < depth):
+        kids = rng.poisson(lam, size=n)
         if live is not None:
             owners = np.flatnonzero(live)[zero_truncated_owners(rng, live_lam, int(live.sum()))]
-            n_live = np.bincount(owners, minlength=tree.size)
+            n_live = np.bincount(owners, minlength=n)
             kids += n_live
-        parent = np.repeat(np.arange(tree.size, dtype=np.int32), kids)
+        parent = np.arange(n, dtype=np.int32).repeat(kids)
+        if not parent.size:  # no child anywhere; the skipped empty draws take no bits
+            break
         types = rng.integers(0, 4, size=parent.size, dtype=np.int8)
         if live is not None:  # the first n_live[p] children of node p are live
             live = np.arange(parent.size) < (np.cumsum(kids) - kids + n_live)[parent]
-        tree = tree[parent]
-        size += np.bincount(tree, minlength=count)
-        alive = size <= node_cap
-        keep = alive[tree]
-        if not keep.all():
-            parent, types, tree = parent[keep], types[keep], tree[keep]
-            live = None if live is None else live[keep]
+        total += parent.size
+        if total > node_cap:  # before, no tree can be over the cap
+            if tree is None:
+                tree, size = np.arange(count), np.ones(count, dtype=np.int64)
+                for above, _ in levels:
+                    tree = tree[above]
+                    size += np.bincount(tree, minlength=count)
+            tree = tree[parent]
+            size += np.bincount(tree, minlength=count)
+            keep = (size <= node_cap)[tree]
+            if not keep.all():
+                parent, types, tree = parent[keep], types[keep], tree[keep]
+                live = None if live is None else live[keep]
         if parent.size:
             levels.append((parent, types))
             if live is not None:
                 marks.append(live)
+        n = parent.size
+    alive = np.full(count, node_cap >= 1) if size is None else size <= node_cap
     if not alive.all():
         _drop_trees(levels, alive, marks)
     return levels, alive, marks

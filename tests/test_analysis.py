@@ -1,6 +1,7 @@
 """Atom detection, snapping, mixture decomposition, support coverage."""
 
 import math
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -68,6 +69,26 @@ def test_detect_atoms_exact_counts_and_residual():
         report.residual_mass * report.total_samples
     )
     assert total == report.total_samples
+
+
+@given(st.lists(st.builds(Fraction, st.integers(0, 6), st.integers(1, 6)), min_size=1,
+                max_size=80),
+       st.integers(1, 5))
+@example([Fraction(1, 3)] * 2 + [Fraction(2, 4)] * 2 + [Fraction(1, 2), Fraction(3, 5)], 2)
+@example([Fraction(2, 3), Fraction(1, 3), Fraction(1, 1), Fraction(0, 5)], 1)
+@settings(max_examples=200, deadline=None)
+def test_detect_atoms_exact_matches_counter_oracle(samples, min_count):
+    # atoms by count descending, ties by value; the rare values go to the residual
+    counts = Counter(samples)
+    expected = sorted(((v, c) for v, c in counts.items() if c >= min_count),
+                      key=lambda vc: (-vc[1], vc[0]))
+    report = detect_atoms(samples, min_count=min_count)
+    assert report.exact and report.total_samples == len(samples)
+    assert [(a.value, a.count) for a in report.atoms] == expected
+    assert all(type(a.value) is Fraction and a.mass == a.count / len(samples) and a.width == 0.0
+               for a in report.atoms)
+    rare = sum(c for c in counts.values() if c < min_count)
+    assert report.residual_mass == rare / len(samples)
 
 
 def test_detect_atoms_float_recovers_planted():

@@ -151,6 +151,42 @@ def test_mixture_artifacts(tmp_path):
     assert header[1] == "bin_lo,bin_hi,count"
 
 
+@pytest.mark.parametrize("d", ["0.8", "1.0"])
+def test_mixture_hist_without_continuous_part_exits_invalid(d, tmp_path, monkeypatch, capsys):
+    # below d = 1 there is no histogram to write: refuse before any sampling
+    from twosatlab import analysis
+
+    def sampled(*args, **kwargs):
+        raise AssertionError("mixture sampled before rejecting --hist")
+
+    monkeypatch.setattr(analysis, "mixture_decomposition", sampled)
+    argv = ["mixture", "--d", d, "--n-discrete", "50", "--n-continuous", "50", "--depth", "4",
+            "--seed", "1", "--out", str(tmp_path / "m.json"), "--hist", str(tmp_path / "h.csv")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("invalid arguments:") and "--hist" in err[0]
+    assert not list(tmp_path.iterdir())
+
+
+def test_memory_error_exits_resource_limit(tmp_path):
+    # a 2,000-tree survival-conditioned chunk 22 generations deep needs
+    # gigabytes; the limit is set in the child alone, after the fork
+    import resource
+
+    def limit_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (400 * 2**20, 400 * 2**20))
+
+    res = subprocess.run(
+        [sys.executable, "-m", "twosatlab", "gw-sample", "--d", "1.5", "--conditioned",
+         "survive", "--method", "tree", "--depth", "22", "--n", "2000", "--seed", "1",
+         "--workers", "1", "--out", "v.txt"],
+        cwd=tmp_path, capture_output=True, text=True, env=child_env(),
+        preexec_fn=limit_address_space, timeout=300)
+    assert res.returncode == 3, res.stderr
+    assert "Traceback" not in res.stderr
+    assert res.stderr.splitlines()[-1].startswith("resource limit: ")
+
+
 def test_compare_identical(tmp_path):
     de = run_cli(["density-evolution", "--d", "1.0", "--size", "1000", "--iters", "5",
                   "--tol", "1e-2", "--seed", "8", "--out", "x.pop"], tmp_path)

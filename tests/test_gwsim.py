@@ -385,6 +385,32 @@ def test_forest_cap_drops_exactly_the_oversize_trees():
                for r, ok in zip(roots, alive))
 
 
+@pytest.mark.parametrize("conditioned, d, depth", [
+    ("extinct", 0.9, None), ("none", 1.5, 6), ("survive", 1.5, 6)])
+def test_forest_total_past_the_cap_drops_no_tree_under_it(conditioned, d, depth):
+    # the cap bookkeeping starts, rebuilt from the levels, once the forest's
+    # node total passes the cap; with every tree still under the cap it drops
+    # nothing and draws the same numbers as no cap at all
+    count = 40
+    levels, alive, marks = grow(conditioned, d, count, seed=45, depth=depth)
+    sizes = [_count_nodes(r) for r in forest_trees(levels, count)]
+    # the total passes the cap after the first generation, which the rebuild has to count
+    assert alive.all() and count + levels[0][0].size < max(sizes) < sum(sizes)
+    capped, alive_c, marks_c = grow(conditioned, d, count, seed=45, depth=depth,
+                                    node_cap=max(sizes))
+    assert alive_c.all()
+    assert all(np.array_equal(p, q) and np.array_equal(t, u)
+               for (p, t), (q, u) in zip(levels, capped, strict=True))
+    assert marks is None or all(np.array_equal(m, n) for m, n in zip(marks, marks_c, strict=True))
+    # one node less: the streams agree until the first largest tree passes
+    # the cap, so it is dropped, and every kept tree is within the cap
+    capped, alive_c, _ = grow(conditioned, d, count, seed=45, depth=depth,
+                              node_cap=max(sizes) - 1)
+    assert not alive_c.all()
+    assert all(_count_nodes(r) < max(sizes) if ok else not r.children
+               for r, ok in zip(forest_trees(capped, count), alive_c))
+
+
 def test_drop_trees_leaves_the_kept_trees_intact():
     count = 300
     for conditioned, d, depth, root in (("extinct", 0.8, None, "(v)"),

@@ -1,9 +1,11 @@
-"""Checks on the source tree itself."""
+"""Checks on the source tree itself, and pins on its random streams."""
 
 import ast
+import hashlib
 from pathlib import Path
 
 import twosatlab
+from twosatlab.gwsim import extinct_marginal_samples, tree_marginal_samples
 
 SRC = Path(twosatlab.__file__).parent
 
@@ -36,3 +38,22 @@ def test_seed_sequence_only_in_substream():
 
     assert _owners(seed_sequence) == [("util.py", "substream")]
     assert _owners(draw_62_bits) == [("util.py", "subseed")]
+
+
+def _digest(items):
+    return hashlib.sha256("".join(f"{x}\n" for x in items).encode()).hexdigest()[:16]
+
+
+def test_sampler_streams_are_pinned():
+    # the sampled trees of every law, a capped call included, as first drawn:
+    # a change that moves a digest changes a random stream, and must say so
+    assert {d: _digest(extinct_marginal_samples(d, 500, seed=11)) for d in (0.8, 1.5)} == {
+        0.8: "77b501988ec3689e", 1.5: "6390e6face164439"}
+    # at d = 1 the node total passes the cap mid-growth, and 9 trees outgrow it
+    assert _digest(extinct_marginal_samples(1.0, 500, seed=11, node_cap=2000)) == (
+        "1f23db16cd1ab5a9")
+    dumps = {cond: tuple(map(_digest, tree_marginal_samples(1.5, 200, 12, cond, depth,
+                                                             dump=True)))
+             for cond, depth in (("none", 5), ("survive", 6))}
+    assert dumps == {"none": ("9ddacbaec69b81b7", "f2ed3480d685ce60"),
+                     "survive": ("7d0abd3784254007", "c5bd8eae551cb117")}
