@@ -13,8 +13,8 @@ _EXPORTS = {
         "support_coverage",
     ),
     "densityev": (
-        "FixpointResult", "Kind", "Population", "apply_de", "apply_ll", "fixpoint",
-        "psi_push", "read_population", "wasserstein2", "write_population",
+        "FixpointResult", "Kind", "Population", "apply_de", "apply_ll", "fixpoint", "psi",
+        "psi_push", "read_population", "write_population",
     ),
     "formula": (
         "Formula", "SolutionStats", "count_solutions", "empirical_marginal_measure",
@@ -22,14 +22,13 @@ _EXPORTS = {
         "read_formula", "write_formula",
     ),
     "gwsim": (
-        "ExtinctionInfo", "GWTree", "coupled_increment_stats", "extinct_marginal_samples",
+        "ExtinctionInfo", "coupled_increment_stats", "extinct_marginal_samples",
         "extinction_probability", "from_tree_formula", "survival_theta_population",
         "tree_marginal_samples", "tree_probability",
     ),
-    "numerics": ("log_clause_term", "phi", "psi"),
     "treebp": (
         "CLAUSE_TYPES", "ClauseType", "TreeFormula", "construct_rational_tree",
-        "format_tree", "join", "leaf", "log_likelihood", "negate", "parse_tree",
+        "format_tree", "join", "log_likelihood", "negate", "parse_tree",
         "root_marginal", "to_formula",
     ),
     "util": ("ResourceLimitError",),

@@ -1,8 +1,9 @@
 """Acceptance suite: every gate criterion with its pinned tolerance.
 
-Each criterion is a function returning a CriterionResult; `run_all` executes
-them in order, prints one pass/fail line per criterion, and shares heavy
-artifacts (sample pools, fixed points) between criteria through a context.
+Each criterion is a named check returning (passed, detail); `run_all`
+executes them in order, numbers them by position, prints one pass/fail line
+per criterion, and shares heavy artifacts (sample pools, fixed points)
+between criteria through a context.
 Quick mode shrinks Monte Carlo sample counts but keeps every tolerance.
 """
 
@@ -20,7 +21,7 @@ from fractions import Fraction
 import numpy as np
 
 from .analysis import compare_distributions, detect_atoms, max_cluster_mass, support_coverage
-from .densityev import Kind, Population, fixpoint, psi_push
+from .densityev import Kind, Population, fixpoint, psi, psi_push
 from .formula import (count_solutions, empirical_marginal_measure, exact_marginals,
                       generate_formula, is_satisfiable)
 from .gwsim import (
@@ -29,7 +30,6 @@ from .gwsim import (
     extinction_probability,
     survival_theta_population,
 )
-from .numerics import psi
 from .treebp import (
     CLAUSE_TYPES,
     TreeFormula,
@@ -132,7 +132,7 @@ def random_tree(rng, max_nodes: int) -> TreeFormula:
     return TreeFormula(children=tuple(children[0]))
 
 
-def criterion_01_bp_oracle(ctx: Context) -> CriterionResult:
+def bp_oracle(ctx: Context) -> tuple[bool, str]:
     rng = substream(ctx.seed, 1)
     n_trees = ctx.sizes["oracle_trees"]
     enum_checked = 0
@@ -142,22 +142,17 @@ def criterion_01_bp_oracle(ctx: Context) -> CriterionResult:
         f = to_formula(t)
         marg = exact_marginals(f)
         if marg is None or marg[1] != q:
-            return CriterionResult(1, "exact BP oracle", False,
-                                   f"mismatch on a {f.n}-variable tree")
+            return False, f"mismatch on a {f.n}-variable tree"
         if f.n <= 16:
             stats = count_solutions(f)
             enum_checked += 1
             if q != Fraction(stats.true_counts[0], stats.count):
-                return CriterionResult(1, "exact BP oracle", False,
-                                       "enumeration disagrees")
+                return False, "enumeration disagrees"
         ctx.watch_fractions("bp oracle marginal", [q])
-    return CriterionResult(
-        1, "exact BP oracle", True,
-        f"{n_trees} trees exact (elimination), {enum_checked} re-checked by enumeration",
-    )
+    return True, f"{n_trees} trees exact (elimination), {enum_checked} re-checked by enumeration"
 
 
-def criterion_02_rational_realization(ctx: Context) -> CriterionResult:
+def rational_realization(ctx: Context) -> tuple[bool, str]:
     count = 0
     for b in range(2, 13):
         for a in range(1, b):
@@ -166,14 +161,12 @@ def criterion_02_rational_realization(ctx: Context) -> CriterionResult:
             count += 1
             q = root_marginal(construct_rational_tree(a, b))
             if q != Fraction(a, b):
-                return CriterionResult(2, "rational realization", False,
-                                       f"{a}/{b} gave {q}")
+                return False, f"{a}/{b} gave {q}"
             ctx.watch_fractions("constructed marginal", [q])
-    return CriterionResult(2, "rational realization", True,
-                           f"all {count} reduced fractions with den <= 12 exact")
+    return True, f"all {count} reduced fractions with den <= 12 exact"
 
 
-def criterion_03_identities(ctx: Context) -> CriterionResult:
+def identities(ctx: Context) -> tuple[bool, str]:
     rng = substream(ctx.seed, 3)
     n = ctx.sizes["identity_trees"]
     for _ in range(n):
@@ -181,16 +174,13 @@ def criterion_03_identities(ctx: Context) -> CriterionResult:
         t2 = random_tree(rng, 25)
         p, q = root_marginal(t1), root_marginal(t2)
         if root_marginal(negate(t1)) != 1 - p:
-            return CriterionResult(3, "negation and join identities", False,
-                                   "negation identity broken")
+            return False, "negation identity broken"
         if root_marginal(join(t1, t2)) != p / (p + q):
-            return CriterionResult(3, "negation and join identities", False,
-                                   "join identity broken")
-    return CriterionResult(3, "negation and join identities", True,
-                           f"{n} random tree pairs exact")
+            return False, "join identity broken"
+    return True, f"{n} random tree pairs exact"
 
 
-def criterion_04_coupled_contraction(ctx: Context) -> CriterionResult:
+def coupled_contraction(ctx: Context) -> tuple[bool, str]:
     n = ctx.sizes["increment_samples"]
     worst = []
     for k, d in enumerate(INCREMENT_DENSITIES):
@@ -201,15 +191,11 @@ def criterion_04_coupled_contraction(ctx: Context) -> CriterionResult:
         bound = d / 2 + RATIO_SLACK
         worst.append((d, max(ratios)))
         if any(r > bound for r in ratios):
-            return CriterionResult(
-                4, "coupled contraction", False,
-                f"d={d}: max ratio {max(ratios):.4f} > {bound:.3f}",
-            )
-    detail = ", ".join(f"d={d}: {r:.3f} <= {d/2 + RATIO_SLACK:.3f}" for d, r in worst)
-    return CriterionResult(4, "coupled contraction", True, detail)
+            return False, f"d={d}: max ratio {max(ratios):.4f} > {bound:.3f}"
+    return True, ", ".join(f"d={d}: {r:.3f} <= {d/2 + RATIO_SLACK:.3f}" for d, r in worst)
 
 
-def criterion_05_fixpoint_consistency(ctx: Context) -> CriterionResult:
+def fixpoint_consistency(ctx: Context) -> tuple[bool, str]:
     size = ctx.sizes["fixpoint_size"]
     res_ll = fixpoint(1.5, size, max_iter=60, tol=1e-3, seed=ctx.seed + 50)
     res_de = fixpoint(1.5, size, max_iter=60, tol=1e-3, seed=ctx.seed + 51,
@@ -220,13 +206,10 @@ def criterion_05_fixpoint_consistency(ctx: Context) -> CriterionResult:
     ctx.artifacts["fixpoint_mu"] = mu_ll
     w1 = compare_distributions(mu_ll, res_de.population)["w1"]
     ok = w1 <= FIXPOINT_W1_TOL and res_ll.converged and res_de.converged
-    return CriterionResult(
-        5, "fixed-point consistency", ok,
-        f"W1(psi(LL fix), DE fix) = {w1:.4f} <= {FIXPOINT_W1_TOL}",
-    )
+    return ok, f"W1(psi(LL fix), DE fix) = {w1:.4f} <= {FIXPOINT_W1_TOL}"
 
 
-def criterion_06_atom_lower_bounds(ctx: Context) -> CriterionResult:
+def atom_lower_bounds(ctx: Context) -> tuple[bool, str]:
     n = ctx.sizes["extinct_samples"]
     details = []
     for k, d in enumerate((0.8, 1.5)):
@@ -244,18 +227,15 @@ def criterion_06_atom_lower_bounds(ctx: Context) -> CriterionResult:
         b_half = math.exp(-d) - ATOM_HALF_TOL
         b_third = (d / 4) * math.exp(-2 * d) - ATOM_THIRD_TOL
         if half < b_half or third < b_third or two_thirds < b_third:
-            return CriterionResult(
-                6, "atom lower bounds", False,
-                f"d={d}: eta*mass(1/2)={half:.4f} (need {b_half:.4f}), "
-                f"eta*mass(1/3)={third:.4f}, eta*mass(2/3)={two_thirds:.4f} "
-                f"(need {b_third:.4f})",
-            )
+            return False, (f"d={d}: eta*mass(1/2)={half:.4f} (need {b_half:.4f}), "
+                           f"eta*mass(1/3)={third:.4f}, eta*mass(2/3)={two_thirds:.4f} "
+                           f"(need {b_third:.4f})")
         details.append(f"d={d}: {half:.3f}>={b_half:.3f}, "
                        f"{third:.4f}/{two_thirds:.4f}>={b_third:.4f}")
-    return CriterionResult(6, "atom lower bounds", True, "; ".join(details))
+    return True, "; ".join(details)
 
 
-def criterion_07_continuous_no_atoms(ctx: Context) -> CriterionResult:
+def continuous_no_atoms(ctx: Context) -> tuple[bool, str]:
     n = ctx.sizes["continuous_samples"]
     depth = ctx.sizes["continuous_depth"]
     theta = survival_theta_population(1.5, depth, n, seed=ctx.seed + 70)
@@ -263,31 +243,25 @@ def criterion_07_continuous_no_atoms(ctx: Context) -> CriterionResult:
     ctx.watch_floats("survival-conditioned marginals", mu)
     ctx.artifacts["continuous_mu"] = mu
     mass = max_cluster_mass(mu, CLUSTER_WINDOW)
-    return CriterionResult(
-        7, "continuous part has no atoms", mass <= CLUSTER_MASS_TOL,
-        f"max cluster mass {mass:.2e} <= {CLUSTER_MASS_TOL} at window {CLUSTER_WINDOW:g}, depth {depth}",
-    )
+    return mass <= CLUSTER_MASS_TOL, (f"max cluster mass {mass:.2e} <= {CLUSTER_MASS_TOL} "
+                                      f"at window {CLUSTER_WINDOW:g}, depth {depth}")
 
 
-def criterion_08_full_support(ctx: Context) -> CriterionResult:
+def full_support(ctx: Context) -> tuple[bool, str]:
     mu = ctx.artifacts["continuous_mu"]
     nonempty = support_coverage(Population(samples=mu, kind=Kind.MU), SUPPORT_BINS)["nonempty"]
     eta = extinction_probability(1.5).eta
     ok = nonempty == SUPPORT_BINS and ETA_RANGE[0] <= eta <= ETA_RANGE[1]
-    return CriterionResult(
-        8, "full support of the continuous part", ok,
-        f"{nonempty}/{SUPPORT_BINS} bins nonempty; eta(1.5)={eta:.5f} in {ETA_RANGE}",
-    )
+    return ok, f"{nonempty}/{SUPPORT_BINS} bins nonempty; eta(1.5)={eta:.5f} in {ETA_RANGE}"
 
 
-def criterion_09_boundary_exclusion(ctx: Context) -> CriterionResult:
-    ok = not ctx.boundary_violations
-    detail = ("no marginal hit 0 or 1 across all runs"
-              if ok else "; ".join(ctx.boundary_violations[:3]))
-    return CriterionResult(9, "boundary exclusion", ok, detail)
+def boundary_exclusion(ctx: Context) -> tuple[bool, str]:
+    if ctx.boundary_violations:
+        return False, "; ".join(ctx.boundary_violations[:3])
+    return True, "no marginal hit 0 or 1 across all runs"
 
 
-def criterion_10_weak_convergence(ctx: Context) -> CriterionResult:
+def weak_convergence(ctx: Context) -> tuple[bool, str]:
     fracs = ctx.artifacts["extinct_fracs_08"]
     gw_pop = Population(samples=np.array([float(q) for q in fracs]), kind=Kind.MU,
                         d=0.8)
@@ -307,14 +281,13 @@ def criterion_10_weak_convergence(ctx: Context) -> CriterionResult:
         w1s.append(compare_distributions(pop, gw_pop)["w1"])
     ok = (successes >= FORMULA_SUCCESS_FRACTION * seeds
           and all(w <= FORMULA_W1_TOL for w in w1s))
-    return CriterionResult(
-        10, "finite-formula weak convergence", ok,
-        f"{successes}/{seeds} seeds computed exactly; "
-        f"max W1 = {max(w1s):.4f} <= {FORMULA_W1_TOL}" if w1s else "no seed succeeded",
-    )
+    if not w1s:
+        return ok, "no seed succeeded"
+    return ok, (f"{successes}/{seeds} seeds computed exactly; "
+                f"max W1 = {max(w1s):.4f} <= {FORMULA_W1_TOL}")
 
 
-def criterion_11_sat_threshold(ctx: Context) -> CriterionResult:
+def sat_threshold(ctx: Context) -> tuple[bool, str]:
     seeds = ctx.sizes["threshold_seeds"]
     n = ctx.sizes["threshold_n"]
     frac = {}
@@ -325,11 +298,8 @@ def criterion_11_sat_threshold(ctx: Context) -> CriterionResult:
         )
         frac[d] = sat / seeds
     ok = frac[1.8] >= THRESHOLD_SAT_LO and frac[2.2] <= THRESHOLD_SAT_HI
-    return CriterionResult(
-        11, "satisfiability threshold", ok,
-        f"sat fraction {frac[1.8]:.2f} at d=1.8 (>= {THRESHOLD_SAT_LO}), "
-        f"{frac[2.2]:.2f} at d=2.2 (<= {THRESHOLD_SAT_HI}), n={n}",
-    )
+    return ok, (f"sat fraction {frac[1.8]:.2f} at d=1.8 (>= {THRESHOLD_SAT_LO}), "
+                f"{frac[2.2]:.2f} at d=2.2 (<= {THRESHOLD_SAT_HI}), n={n}")
 
 
 def _run_cli(argv: list[str], workdir: str, workers: int) -> subprocess.CompletedProcess:
@@ -349,7 +319,7 @@ def _read_files(workdir: str) -> dict[str, bytes]:
     return files
 
 
-def criterion_12_determinism(ctx: Context) -> CriterionResult:
+def determinism(ctx: Context) -> tuple[bool, str]:
     commands = [
         ["gen", "--n", "60", "--d", "1.0", "--seed", "7", "--out", "f.txt"],
         ["marginals", "--in", "f.txt", "--out", "marg.json"],
@@ -382,38 +352,31 @@ def criterion_12_determinism(ctx: Context) -> CriterionResult:
                 proc = _run_cli(argv, tmp, workers)
                 if proc.returncode != 0:
                     stderr = proc.stderr.decode(errors="replace").strip().splitlines()
-                    return CriterionResult(
-                        12, "worker-count determinism", False,
-                        f"twosatlab {' '.join(argv)} --workers {workers} exited "
-                        f"{proc.returncode}: {stderr[-1] if stderr else '(no stderr)'}",
-                    )
+                    return False, (f"twosatlab {' '.join(argv)} --workers {workers} exited "
+                                   f"{proc.returncode}: {stderr[-1] if stderr else '(no stderr)'}")
                 run.append((proc.stdout, _read_files(tmp)))
             outputs.append(run)
     for cmd, (out1, files1), (out8, files8) in zip(commands, outputs[0], outputs[1]):
         if out1 != out8 or files1 != files8:
-            return CriterionResult(
-                12, "worker-count determinism", False,
-                f"output of {' '.join(cmd[:2])} differs between 1 and 8 workers",
-            )
-    return CriterionResult(
-        12, "worker-count determinism", True,
-        f"{len(commands)} subcommands byte-identical across 1 and 8 workers",
-    )
+            return False, f"output of {' '.join(cmd[:2])} differs between 1 and 8 workers"
+    return True, f"{len(commands)} subcommands byte-identical across 1 and 8 workers"
 
 
+# (name, check) in gate order; a check returns (passed, detail), and its
+# number is its position
 CRITERIA = [
-    criterion_01_bp_oracle,
-    criterion_02_rational_realization,
-    criterion_03_identities,
-    criterion_04_coupled_contraction,
-    criterion_05_fixpoint_consistency,
-    criterion_06_atom_lower_bounds,
-    criterion_07_continuous_no_atoms,
-    criterion_08_full_support,
-    criterion_09_boundary_exclusion,
-    criterion_10_weak_convergence,
-    criterion_11_sat_threshold,
-    criterion_12_determinism,
+    ("exact BP oracle", bp_oracle),
+    ("rational realization", rational_realization),
+    ("negation and join identities", identities),
+    ("coupled contraction", coupled_contraction),
+    ("fixed-point consistency", fixpoint_consistency),
+    ("atom lower bounds", atom_lower_bounds),
+    ("continuous part has no atoms", continuous_no_atoms),
+    ("full support of the continuous part", full_support),
+    ("boundary exclusion", boundary_exclusion),
+    ("finite-formula weak convergence", weak_convergence),
+    ("satisfiability threshold", sat_threshold),
+    ("worker-count determinism", determinism),
 ]
 
 
@@ -424,10 +387,11 @@ def run_all(quick: bool = False, workers: int | None = None,
     ctx = Context(sizes=QUICK_SIZES if quick else FULL_SIZES, seed=base_seed,
                   workers=workers)
     ordered = []
-    for criterion in CRITERIA:
+    for number, (name, check) in enumerate(CRITERIA, 1):
         start = time.perf_counter()
-        ordered.append(criterion(ctx))
-        ordered[-1].seconds = time.perf_counter() - start
+        passed, detail = check(ctx)
+        ordered.append(CriterionResult(number, name, passed, detail,
+                                       time.perf_counter() - start))
     if report is not None:
         for res in ordered:
             report(res.line())

@@ -17,13 +17,12 @@ from operator import attrgetter
 
 import numpy as np
 
-from .densityev import Kind, Population
+from .densityev import Kind, Population, psi
 from .gwsim import (
     extinct_marginal_samples,
     extinction_probability,
     survival_theta_population,
 )
-from .numerics import psi
 from .util import subseed
 
 

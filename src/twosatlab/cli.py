@@ -143,7 +143,7 @@ def cmd_gw_sample(args, cfg):
             raise ValueError("--method population needs --conditioned survive")
         if args.dump_trees:
             raise ValueError("--dump-trees needs --method tree")
-        from .numerics import psi
+        from .densityev import psi
 
         values = psi(gwsim.survival_theta_population(args.d, depth, args.n, args.seed))
     else:
@@ -211,10 +211,8 @@ def cmd_atoms(args, cfg):
         row = {"fraction": f"{atom.value.numerator}/{atom.value.denominator}",
                "mass": atom.mass, "lower_bound": None, "ok": None}
         if d is not None:
-            shape = gwsim.from_tree_formula(
-                treebp.construct_rational_tree(atom.value.numerator, atom.value.denominator), d
-            )
-            lb = gwsim.tree_probability(shape, d)
+            lb = gwsim.tree_probability(
+                treebp.construct_rational_tree(atom.value.numerator, atom.value.denominator), d)
             se = (atom.count + 1) ** 0.5 / report.total_samples
             row["lower_bound"] = lb
             row["ok"] = bool(atom.mass * args.weight + 3 * se * args.weight >= lb)
@@ -384,7 +382,7 @@ def main(argv=None) -> int:
     except (ResourceLimitError, MemoryError) as exc:
         print(f"resource limit: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_RESOURCE
-    except (ValueError, FileNotFoundError) as exc:
+    except (ValueError, OSError) as exc:  # OSError: a path missing, a directory, ...
         print(f"invalid arguments: {exc}", file=sys.stderr)
         return EXIT_INVALID
 

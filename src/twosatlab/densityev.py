@@ -30,8 +30,17 @@ from typing import IO
 
 import numpy as np
 
-from .numerics import psi
 from .util import subseed, substream
+
+
+def psi(z):
+    """Logistic map from log-likelihood ratio to probability in [0,1].
+
+    exp(-z) overflows to inf below z = -709.78, where the result is then 0,
+    as scipy.special.expit gives there too.
+    """
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-np.asarray(z, dtype=float)))
 
 
 class Kind(enum.Enum):
@@ -70,14 +79,6 @@ class Population:
         return float(np.mean(self.samples == value))
 
 
-def zeros_population(size: int, d: float | None = None, seed: int | None = None) -> Population:
-    return Population(samples=np.zeros(size), kind=Kind.THETA, d=d, seed=seed)
-
-
-def point_population(value: float, size: int, kind: Kind, d: float | None = None) -> Population:
-    return Population(samples=np.full(size, float(value)), kind=kind, d=d)
-
-
 def poisson_owners(rng, lam: float, size: int) -> np.ndarray:
     """Owner index in [0, size) of each term of `size` i.i.d. Poisson(lam) packs.
 
@@ -98,9 +99,10 @@ def zero_truncated_owners(rng, lam: float, size: int) -> np.ndarray:
 
 
 def clause_table(values) -> np.ndarray:
-    """[log_clause_term(v, +1) ... | log_clause_term(v, -1) ...] over the last
-    axis, bit for bit, with one log1p(exp(-|v|)) per value: key k of n values
-    is value k mod n with s' = +1 below n, -1 from n."""
+    """Clause terms log((1 + s' tanh(v/2))/2) = -softplus(-s' v) <= 0 over the
+    last axis, softplus(x) = max(x, 0) + log1p(exp(-|x|)) with one
+    log1p(exp(-|v|)) per value: key k of n values is value k mod n with
+    s' = +1 below n, -1 from n."""
     v = np.asarray(values, dtype=float)[..., None, :]
     soft = np.abs(v)  # in place from here: fresh pages cost more than the arithmetic
     np.log1p(np.exp(np.negative(soft, out=soft), out=soft), out=soft)
@@ -159,15 +161,6 @@ def psi_push(p: Population) -> Population:
     return replace(p, samples=psi(p.samples), kind=Kind.MU)
 
 
-def wasserstein2(a: Population, b: Population) -> float:
-    """Exact W2 between two equal-size empirical measures on the line."""
-    if a.kind is not b.kind:
-        raise ValueError("kind mismatch")
-    if a.size != b.size:
-        raise ValueError(f"size mismatch: {a.size} vs {b.size}")
-    return _w2_sorted(np.sort(a.samples), np.sort(b.samples))
-
-
 def _w2_sorted(a: np.ndarray, b: np.ndarray) -> float:
     diff = a - b
     return float(np.sqrt(np.mean(diff * diff)))
@@ -202,11 +195,11 @@ def fixpoint(
     if not 0 < d < 2:
         raise ValueError(f"need d in (0,2), got {d}")
     if operator == "ll":
-        cur = zeros_population(size, d=d, seed=seed)
+        cur = Population(samples=np.zeros(size), kind=Kind.THETA, d=d, seed=seed)
         step = apply_ll
         mass_ref = 0.0
     elif operator == "de":
-        cur = point_population(0.5, size, Kind.MU, d=d)
+        cur = Population(samples=np.full(size, 0.5), kind=Kind.MU, d=d)
         step = apply_de
         mass_ref = 0.5
     else:

@@ -39,6 +39,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import islice
 
 import numpy as np
@@ -52,26 +53,20 @@ _NODE_CAP = 20_000_000
 
 
 @dataclass(frozen=True)
-class GWTree:
-    """A complete finite tree shape for `tree_probability`."""
-
-    root: TreeFormula
-    d: float
-
-
-@dataclass(frozen=True)
 class ExtinctionInfo:
     d: float
     eta: float
     zeta: float
 
 
+@lru_cache
 def extinction_probability(d: float, tol: float = 1e-12) -> ExtinctionInfo:
     """Smallest fixed point of eta -> exp(d*(eta-1)) in (0,1].
 
     Equals 1 exactly for d <= 1; for d > 1 monotone iteration from 0
     converges geometrically at rate d*eta < 1, and the stopping rule turns
-    the step size into a true-error bound via the geometric tail.
+    the step size into a true-error bound via the geometric tail. Memoised
+    per (d, tol): the samplers ask once per call, and the result is frozen.
     """
     if not 0 < d < 2:
         raise ValueError(f"need d in (0,2), got {d}")
@@ -90,17 +85,18 @@ def extinction_probability(d: float, tol: float = 1e-12) -> ExtinctionInfo:
     return ExtinctionInfo(d=d, eta=eta, zeta=1.0 - eta)
 
 
-def from_tree_formula(t: TreeFormula, d: float) -> GWTree:
-    """A (possibly shared) tree-formula as a tree shape; the nodes are not
-    copied."""
-    return GWTree(root=t, d=d)
+def from_tree_formula(t: TreeFormula, d: float) -> TreeFormula:
+    """`t` itself: `tree_probability` takes any tree node. Kept for callers
+    that still build a shape first, such as benchmarks/run.py."""
+    return t
 
 
 # -- probability of a fixed finite tree ---------------------------------------
 
 
-def tree_probability(t: GWTree, d: float) -> float:
-    """P(the Galton-Watson tree equals t) as an unordered typed rooted tree.
+def tree_probability(t, d: float) -> float:
+    """P(the Galton-Watson tree equals t) as an unordered typed rooted tree;
+    works on any node with `.children`.
 
     Per variable node and clause type, Poisson(d/4) offspring probability
     times the multinomial correction for repeated child isomorphism
@@ -118,7 +114,7 @@ def tree_probability(t: GWTree, d: float) -> float:
         cls = classes.setdefault(tuple(keys), len(classes))
         return cls, 1 + sum(n for _, (_, n, _) in kids), log_mult
 
-    _, n_nodes, log_mult = fold(t.root, combine)
+    _, n_nodes, log_mult = fold(t, combine)
     logp = -d * n_nodes + (n_nodes - 1) * math.log(d / 4.0) - log_mult
     return math.exp(logp)
 
@@ -156,8 +152,8 @@ def _forest_theta_matrix(d: float, L: int, count: int, seed: int) -> np.ndarray:
         if parent.size and up.shape[0] > 2:
             neg_sp, neg_s = 1.0 - (code >> 1) * 2.0, -s
             for j in range(2, up.shape[0]):
-                # s * log_clause_term(theta, s') by the same float operations, with
-                # fewer fresh temporaries: new pages cost more than the arithmetic
+                # s * clause term of (theta, s') by `clause_table`'s float operations,
+                # with fewer fresh temporaries: new pages cost more than the arithmetic
                 x = np.maximum(neg_sp * theta[j - 1], 0.0)
                 x += np.log1p(np.exp(-np.abs(theta[j - 1])))
                 x *= neg_s

@@ -40,10 +40,6 @@ class TreeFormula:
     children: tuple = ()
 
 
-def leaf() -> TreeFormula:
-    return TreeFormula()
-
-
 def bp_pair(entries) -> tuple[int, int]:
     """Marginal of a variable from its children, as a reduced pair (a, b) = a/b.
 
@@ -123,8 +119,9 @@ def join(t1: TreeFormula, t2: TreeFormula) -> TreeFormula:
 def construct_rational_tree(a: int, b: int) -> TreeFormula:
     """A tree whose root marginal is exactly a/b, for any 0 < a < b.
 
-    Recursion on the reduced fraction: 1/2 is a bare root; 1/b chains one
-    (-,+) edge onto 1/(b-1); fractions above 1/2 are negations; the rest is
+    Recursion on the reduced fraction, run on an explicit stack so any
+    denominator fits: 1/2 is a bare root; 1/b chains one (-,+) edge onto
+    1/(b-1); fractions above 1/2 are negations; the rest is
     join(a/(b-1), 1 - (a-1)/(b-1)) which joins to exactly a/b. Shared
     subtrees are memoized per reduced fraction, so the representation stays
     polynomial in b even though the expanded tree is not.
@@ -133,31 +130,35 @@ def construct_rational_tree(a: int, b: int) -> TreeFormula:
         raise ValueError("numerator and denominator must be integers")
     if a <= 0 or a >= b:
         raise ValueError(f"need 0 < a < b, got {a}/{b}")
-    memo: dict[tuple[int, int], TreeFormula] = {}
+    memo: dict[tuple[int, int], TreeFormula] = {(1, 2): TreeFormula()}
     neg_cache: dict[int, TreeFormula] = {}
-
-    def build(a: int, b: int) -> TreeFormula:
-        g = gcd(a, b)
-        a, b = a // g, b // g
-        key = (a, b)
+    g = gcd(a, b)
+    root = (a // g, b // g)
+    stack = [root]  # explicit: the chain below 1/b alone is b - 2 steps deep
+    while stack:
+        x, y = key = stack[-1]
         if key in memo:
-            return memo[key]
-        if key == (1, 2):
-            t = leaf()
-        elif a == 1:
-            t = TreeFormula(children=((ClauseType(-1, +1), build(1, b - 1)),))
-        elif 2 * a > b:
-            t = negate(build(b - a, b), neg_cache)
+            stack.pop()
+            continue
+        if x == 1:
+            parts = [(1, y - 1)]
+            make = lambda t: TreeFormula(children=((ClauseType(-1, +1), t),))
+        elif 2 * x > y:
+            parts, make = [(y - x, y)], lambda t: negate(t, neg_cache)
         else:
-            t = join(build(a, b - 1), negate(build(a - 1, b - 1), neg_cache))
-        memo[key] = t
-        return t
-
-    return build(a, b)
+            parts = [(c // gcd(c, y - 1), (y - 1) // gcd(c, y - 1)) for c in (x, x - 1)]
+            make = lambda t, u: join(t, negate(u, neg_cache))
+        pending = [k for k in parts if k not in memo]
+        if pending:  # built in the order the recursion would build them
+            stack.extend(reversed(pending))
+            continue
+        stack.pop()
+        memo[key] = make(*(memo[k] for k in parts))
+    return memo[root]
 
 
 def log_likelihood(t: TreeFormula) -> float:
-    """phi of the exact root marginal, log(q/(1-q)), as a float."""
+    """Log-odds of the exact root marginal, log(q/(1-q)), as a float."""
     q = root_marginal(t)
     return math.log(q.numerator) - math.log(q.denominator - q.numerator)
 

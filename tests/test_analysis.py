@@ -15,7 +15,6 @@ from twosatlab import (
     compare_distributions,
     detect_atoms,
     extinction_probability,
-    from_tree_formula,
     max_cluster_mass,
     mixture_decomposition,
     snap_to_fraction,
@@ -193,8 +192,7 @@ def test_atom_masses_dominate_tree_probability():
                 if math.gcd(a, b) != 1:
                     continue
                 q = Fraction(a, b)
-                shape = from_tree_formula(construct_rational_tree(a, b), d)
-                lower = tree_probability(shape, d)
+                lower = tree_probability(construct_rational_tree(a, b), d)
                 count = report.count_at(q)
                 slack = 3.0 * eta * math.sqrt(count + 1) / n
                 assert count / n * eta + slack >= lower, (d, q)

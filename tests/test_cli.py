@@ -291,6 +291,28 @@ def test_main_in_process_invalid():
     assert main(["tree-bp"]) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["count", "--in", "{dir}"],
+    ["marginals", "--in", "{dir}"],
+    ["tree-bp", "--in", "{dir}"],
+    ["atoms", "--in", "{dir}"],
+    ["gen", "--n", "20", "--d", "1.0", "--seed", "1", "--out", "{dir}"],
+], ids=["count-in", "marginals-in", "tree-bp-in", "atoms-in", "gen-out"])
+def test_directory_as_path_exits_invalid(argv, tmp_path, capsys):
+    # a directory where a file is expected is an OSError, not a traceback
+    assert main([arg.format(dir=tmp_path) for arg in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("invalid arguments:") and len(err.splitlines()) == 1
+
+
+def test_construct_tree_past_the_recursion_limit(capsys):
+    # the 1/b chain is b - 2 steps deep; the construction keeps its own stack
+    assert main(["construct-tree", "1/3000"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-1] == "marginal=1/3000"
+    assert lines[0].count("(v") == 2999
+
+
 def test_compare_unknown_population_kind_exits_invalid(tmp_path, capsys):
     good, bad = tmp_path / "good.pop", tmp_path / "bad.pop"
     good.write_text("# pop v1 kind=MU d=0.8 gen=0 seed=0\n0.5\n")
@@ -370,11 +392,11 @@ def test_determinism_reports_launch_failure(monkeypatch):
 
     monkeypatch.setattr(acceptance, "_run_cli", failing)
     ctx = acceptance.Context(sizes=acceptance.QUICK_SIZES, seed=1, workers=None)
-    res = acceptance.criterion_12_determinism(ctx)
-    assert not res.passed
-    assert "twosatlab gen --n 60" in res.detail
-    assert "--workers 1 exited 3" in res.detail
-    assert res.detail.endswith("resource limit: too big")
+    passed, detail = acceptance.determinism(ctx)
+    assert not passed
+    assert "twosatlab gen --n 60" in detail
+    assert "--workers 1 exited 3" in detail
+    assert detail.endswith("resource limit: too big")
 
 
 def test_tree_bp_deep_chain_in_process(tmp_path, capsys):
@@ -391,7 +413,7 @@ def test_tree_bp_deep_chain_in_process(tmp_path, capsys):
 
 def test_tree_bp_marginal_past_int_str_limit(tmp_path, capsys):
     # a complete binary [++] tree of depth 14: about 7,000 digits per term
-    t = treebp.leaf()
+    t = treebp.TreeFormula()
     for _ in range(14):
         t = treebp.TreeFormula(children=((treebp.ClauseType(1, 1), t),) * 2)
     path = tmp_path / "binary.txt"
@@ -434,18 +456,19 @@ def test_exact_subcommands_load_no_numpy(argv):
 
 
 # every name `twosatlab` exported when it imported its submodules eagerly,
-# less `apply_ll_coupled`, which moved into tests/test_densityev.py, and the
-# node-object samplers, which `tree_marginal_samples` replaced
+# less `apply_ll_coupled` and `log_clause_term`, which moved into the tests,
+# the node-object samplers, which `tree_marginal_samples` replaced, and
+# `GWTree`, `leaf`, `phi` and `wasserstein2`, which were deleted
 EXPORTS = """
     AtomReport MixtureReport compare_distributions detect_atoms max_cluster_mass
     mixture_decomposition snap_to_fraction support_coverage FixpointResult Kind
-    Population apply_de apply_ll fixpoint psi_push read_population wasserstein2
+    Population apply_de apply_ll fixpoint psi_push read_population
     write_population Formula SolutionStats count_solutions empirical_marginal_measure
     exact_marginals generate_formula is_satisfiable marginals_to_json read_formula
-    write_formula ExtinctionInfo GWTree coupled_increment_stats extinct_marginal_samples
+    write_formula ExtinctionInfo coupled_increment_stats extinct_marginal_samples
     extinction_probability from_tree_formula survival_theta_population
-    tree_marginal_samples tree_probability log_clause_term phi psi
-    CLAUSE_TYPES ClauseType TreeFormula construct_rational_tree format_tree join leaf
+    tree_marginal_samples tree_probability psi
+    CLAUSE_TYPES ClauseType TreeFormula construct_rational_tree format_tree join
     log_likelihood negate parse_tree root_marginal to_formula ResourceLimitError
 """.split()
 
@@ -458,7 +481,7 @@ def test_every_export_resolves_and_is_listed():
     assert res.returncode == 0, res.stderr
     assert res.stdout.strip() == "[]"
     assert sorted(twosatlab.__all__) == sorted(EXPORTS)
-    assert twosatlab.psi is sys.modules["twosatlab.numerics"].psi
+    assert twosatlab.psi is sys.modules["twosatlab.densityev"].psi
     with pytest.raises(AttributeError):
         twosatlab.apply_ll_coupled
 
@@ -510,19 +533,19 @@ def test_one_run_embeds_one_config(tmp_path, monkeypatch, capsys):
 
     def record(ctx):
         seeds.append(ctx.seed)
-        return acceptance.CriterionResult(1, "seed", True, "ok")
+        return True, "ok"
 
-    monkeypatch.setattr(acceptance, "CRITERIA", [record])
+    monkeypatch.setattr(acceptance, "CRITERIA", [("seed", record)])
     assert main(["verify", "--quick", "--seed", "77"]) == 0
     assert main(["verify", "--quick"]) == 0
     assert seeds == [77, 20240801]
 
 
 def test_verify_prints_criterion_seconds_on_stderr(monkeypatch, capsys):
-    def trivial(number, passed):
-        return lambda ctx: acceptance.CriterionResult(number, "trivial", passed, "ok")
+    def trivial(passed):
+        return "trivial", lambda ctx: (passed, "ok")
 
-    monkeypatch.setattr(acceptance, "CRITERIA", [trivial(1, True), trivial(2, False)])
+    monkeypatch.setattr(acceptance, "CRITERIA", [trivial(True), trivial(False)])
     assert main(["verify", "--quick"]) == 1
     out, err = capsys.readouterr()
     assert out == "[PASS] C01 trivial: ok\n[FAIL] C02 trivial: ok\n"

@@ -13,23 +13,20 @@ from twosatlab import (
     apply_ll,
     compare_distributions,
     fixpoint,
-    phi,
     psi,
     psi_push,
     read_population,
-    wasserstein2,
     write_population,
 )
 from twosatlab.densityev import (
     _ll_generation,
-    point_population,
     poisson_owners,
     resample_log_terms,
     split_packs,
     zero_truncated_owners,
-    zeros_population,
 )
 from twosatlab.util import substream
+from test_numerics import phi
 
 LOG2 = math.log(2.0)
 
@@ -64,14 +61,14 @@ def test_population_validation():
 
 
 def test_apply_ll_zero_input_lands_on_log2_lattice():
-    p = zeros_population(50_000)
+    p = Population(samples=np.zeros(50_000), kind=Kind.THETA)
     out = apply_ll(p, 1.0, seed=3)
     k = out.samples / LOG2
     assert np.allclose(k, np.round(k), atol=1e-9)
 
 
 def test_apply_ll_symmetric_and_atom_at_zero():
-    p = zeros_population(100_000)
+    p = Population(samples=np.zeros(100_000), kind=Kind.THETA)
     out = apply_ll(p, 1.0, seed=4)
     assert out.mass_at(0.0) >= math.exp(-1.0) - 0.01
     assert abs(out.samples.mean()) <= 3 * out.samples.std() / math.sqrt(out.size)
@@ -131,11 +128,11 @@ def test_resample_log_terms_adds_plus_slots_and_subtracts_minus_slots():
 
 def test_apply_ll_kind_check():
     with pytest.raises(ValueError):
-        apply_ll(point_population(0.5, 10, Kind.MU), 1.0, seed=0)
+        apply_ll(Population(samples=np.full(10, 0.5), kind=Kind.MU), 1.0, seed=0)
 
 
 def test_apply_de_point_mass_half():
-    p = point_population(0.5, 50_000, Kind.MU)
+    p = Population(samples=np.full(50_000, 0.5), kind=Kind.MU)
     out = apply_de(p, 1.5, seed=5)
     # outputs are 1/(1 + 2^(D- - D+)); check the lattice and the symmetry
     lattice = np.array([1.0 / (1.0 + 2.0**k) for k in range(-25, 26)])
@@ -147,7 +144,7 @@ def test_apply_de_point_mass_half():
 
 def test_apply_de_kind_check():
     with pytest.raises(ValueError):
-        apply_de(zeros_population(10), 1.0, seed=0)
+        apply_de(Population(samples=np.zeros(10), kind=Kind.THETA), 1.0, seed=0)
 
 
 def test_psi_phi_inverse_pair():
@@ -163,37 +160,17 @@ def test_psi_phi_inverse_pair():
 
 
 def test_push_roundtrip():
-    p = apply_ll(zeros_population(1000), 1.5, seed=8)
+    p = apply_ll(Population(samples=np.zeros(1000), kind=Kind.THETA), 1.5, seed=8)
     back = phi(psi_push(p).samples)
     assert np.max(np.abs(back - p.samples)) <= 1e-12
     assert psi_push(p).kind is Kind.MU
-
-
-def test_wasserstein2_examples():
-    z = Population(samples=np.zeros(2), kind=Kind.THETA)
-    ones = Population(samples=np.ones(2), kind=Kind.THETA)
-    assert wasserstein2(z, z) == 0.0
-    assert wasserstein2(z, ones) == 1.0
-    a = Population(samples=np.array([0.0, 1.0]), kind=Kind.THETA)
-    b = Population(samples=np.array([1.0, 2.0]), kind=Kind.THETA)
-    assert wasserstein2(a, b) == 1.0
-
-
-def test_wasserstein2_validates():
-    a = Population(samples=np.zeros(3), kind=Kind.THETA)
-    b = Population(samples=np.zeros(4), kind=Kind.THETA)
-    with pytest.raises(ValueError):
-        wasserstein2(a, b)
-    c = point_population(0.5, 3, Kind.MU)
-    with pytest.raises(ValueError):
-        wasserstein2(a, c)
 
 
 def test_coupled_contraction_l1():
     # shared-randomness coupling contracts mean absolute distance at rate d/2
     rng = substream(17, 0)
     for d in (0.5, 1.0, 1.5, 1.9):
-        pa = apply_ll(zeros_population(100_000, d=d), d, seed=21)
+        pa = apply_ll(Population(samples=np.zeros(100_000), kind=Kind.THETA, d=d), d, seed=21)
         pb = Population(samples=pa.samples + rng.normal(0.0, 0.5, pa.size),
                         kind=Kind.THETA, d=d)
         w1_in = float(np.mean(np.abs(np.sort(pa.samples) - np.sort(pb.samples))))
@@ -219,7 +196,8 @@ def test_coupled_shares_randomness():
 def test_consistency_square():
     # psi . LL . phi agrees with DE in distribution on symmetric inputs
     d = 1.5
-    p = apply_ll(apply_ll(zeros_population(100_000, d=d), d, seed=31), d, seed=32)
+    zeros = Population(samples=np.zeros(100_000), kind=Kind.THETA, d=d)
+    p = apply_ll(apply_ll(zeros, d, seed=31), d, seed=32)
     via_de = apply_de(psi_push(p), d, seed=33)
     direct = psi_push(apply_ll(p, d, seed=34))
     assert compare_distributions(via_de, direct)["w1"] <= 0.01
@@ -230,7 +208,7 @@ def test_fixpoint_small_d_concentrates_at_zero():
     # W2 to the zero population is sqrt(d e^-d) log 2 ~ 0.151 at d=0.05
     res = fixpoint(0.05, 20_000, max_iter=30, tol=1e-3, seed=41)
     assert res.converged
-    w2 = wasserstein2(res.population, zeros_population(20_000))
+    w2 = np.sqrt(np.mean(res.population.samples ** 2))
     assert 0.12 <= w2 <= 0.20
     assert res.population.mass_at(0.0) >= math.exp(-0.05) - 0.01
 
@@ -262,7 +240,8 @@ def test_fixpoint_trace_w2_is_the_step_between_returned_populations():
     for k in range(1, full.iterations + 1):
         before = fixpoint(1.5, 5000, max_iter=k - 1, tol=1e-3, seed=45).population
         after = fixpoint(1.5, 5000, max_iter=k, tol=1e-3, seed=45).population
-        assert full.trace[k - 1][1] == wasserstein2(before, after)
+        diff = np.sort(before.samples) - np.sort(after.samples)
+        assert full.trace[k - 1][1] == np.sqrt(np.mean(diff * diff))
 
 
 def test_fixpoint_validates():
@@ -273,7 +252,7 @@ def test_fixpoint_validates():
 
 
 def test_population_file_roundtrip():
-    p = apply_ll(zeros_population(500, d=1.25, seed=7), 1.25, seed=7)
+    p = apply_ll(Population(samples=np.zeros(500), kind=Kind.THETA, d=1.25, seed=7), 1.25, seed=7)
     buf = io.StringIO()
     write_population(p, buf)
     back = read_population(io.StringIO(buf.getvalue()))
@@ -291,5 +270,5 @@ def test_population_file_rejects_unknown_or_missing_kind(header):
 
 def test_population_file_header():
     buf = io.StringIO()
-    write_population(point_population(0.5, 3, Kind.MU, d=0.8), buf)
+    write_population(Population(samples=np.full(3, 0.5), kind=Kind.MU, d=0.8), buf)
     assert buf.getvalue().splitlines()[0] == "# pop v1 kind=MU d=0.8 gen=0 seed=0"

@@ -9,7 +9,6 @@ import pytest
 
 from twosatlab import (
     ClauseType,
-    GWTree,
     TreeFormula,
     coupled_increment_stats,
     extinct_marginal_samples,
@@ -29,6 +28,7 @@ from twosatlab.gwsim import (
     _increment_chunk,
     from_tree_formula,
 )
+from twosatlab.densityev import psi
 from twosatlab.treebp import (
     CLAUSE_TYPES,
     bp_pair,
@@ -38,8 +38,8 @@ from twosatlab.treebp import (
     parse_tree,
     root_marginal,
 )
-from twosatlab.numerics import log_clause_term, psi
 from twosatlab.util import substream
+from test_numerics import log_clause_term
 
 CASES = ("none", "extinct", "survive")
 
@@ -149,6 +149,12 @@ def test_extinction_supercritical(d, expected):
     assert info.eta == pytest.approx(expected, abs=1e-8)
     assert abs(info.eta - math.exp(d * (info.eta - 1.0))) <= 1e-9
     assert info.zeta == pytest.approx(1.0 - expected, abs=1e-8)
+
+
+def test_extinction_probability_is_memoised():
+    # one frozen instance per (d, tol): the samplers ask on every call
+    assert extinction_probability(1.5) is extinction_probability(1.5)
+    assert extinction_probability(1.5, 1e-10) is not extinction_probability(1.5)
 
 
 def test_extinction_validates():
@@ -533,12 +539,11 @@ def test_survival_population_interior():
 
 
 def test_tree_probability_isolated_root():
-    iso = GWTree(root=TreeFormula(), d=0.8)
-    assert tree_probability(iso, 0.8) == pytest.approx(math.exp(-0.8), rel=1e-12)
+    assert tree_probability(TreeFormula(), 0.8) == pytest.approx(math.exp(-0.8), rel=1e-12)
 
 
 def test_tree_probability_single_clause_tree():
-    t = GWTree(root=TreeFormula(children=((ClauseType(-1, 1), TreeFormula()),)), d=1.0)
+    t = TreeFormula(children=((ClauseType(-1, 1), TreeFormula()),))
     assert tree_probability(t, 1.0) == pytest.approx(0.25 * math.exp(-2.0), rel=1e-12)
 
 
@@ -547,11 +552,11 @@ def test_tree_probability_multiplicity_needs_equal_subtrees():
     # subtrees are isomorphic
     ct, d = ClauseType(1, -1), 0.9
     twins = TreeFormula(children=((ct, TreeFormula()), (ct, TreeFormula())))
-    assert tree_probability(GWTree(root=twins, d=d), d) == pytest.approx(
+    assert tree_probability(twins, d) == pytest.approx(
         math.exp(-3 * d) * (d / 4) ** 2 / 2, rel=1e-12)
     chain = TreeFormula(children=((ct, TreeFormula()),))
     mixed = TreeFormula(children=((ct, TreeFormula()), (ct, chain)))
-    assert tree_probability(GWTree(root=mixed, d=d), d) == pytest.approx(
+    assert tree_probability(mixed, d) == pytest.approx(
         math.exp(-4 * d) * (d / 4) ** 3, rel=1e-12)
 
 
@@ -568,10 +573,9 @@ def test_tree_probability_shared_matches_expanded():
                 continue
             t = construct_rational_tree(a, b)
             for d in (0.8, 1.5):
-                assert from_tree_formula(t, d).root is t
-                shared = tree_probability(from_tree_formula(t, d), d)
-                copied = GWTree(root=_expand(t), d=d)
-                assert shared == pytest.approx(tree_probability(copied, d), rel=1e-12)
+                assert from_tree_formula(t, d) is t
+                shared = tree_probability(t, d)
+                assert shared == pytest.approx(tree_probability(_expand(t), d), rel=1e-12)
 
 
 def _count_nodes(node):
@@ -613,11 +617,11 @@ def _canonical_form(root) -> tuple:
     return fold(root, lambda kids: tuple(sorted((tuple(ct), c) for ct, c in kids)))
 
 
-def shape_frequency(target: GWTree, d: float, n: int, seed: int) -> float:
+def shape_frequency(target, d: float, n: int, seed: int) -> float:
     """Independent Monte Carlo oracle: fraction of sampled trees equal to target."""
-    want = _canonical_form(target.root)
-    cap_nodes = _count_nodes(target.root)
-    cap_depth = _depth(target.root)
+    want = _canonical_form(target)
+    cap_nodes = _count_nodes(target)
+    cap_depth = _depth(target)
     rng = substream(seed, 0)
     hits = 0
     for _ in range(n):
@@ -632,10 +636,9 @@ def test_tree_probability_against_frequency_oracle(seed):
     root = oracle_tree(substream(seed, 1), 0.8, "extinct")
     if _count_nodes(root) > 6:
         root = Node()
-    complete = GWTree(root=root, d=0.8)
-    p = tree_probability(complete, 0.8)
+    p = tree_probability(root, 0.8)
     n = 200_000
-    freq = shape_frequency(complete, 0.8, n, seed=seed * 7)
+    freq = shape_frequency(root, 0.8, n, seed=seed * 7)
     se = math.sqrt(p * (1 - p) / n)
     assert abs(freq - p) <= 3 * se + 1e-9
 

@@ -1,10 +1,26 @@
-"""Coordinate maps between log-likelihood ratios and probabilities."""
+"""Coordinate maps between log-likelihood ratios and probabilities, and the
+reference clause term that the population kernels are checked against."""
 
 import numpy as np
 from scipy.special import expit
 
-from twosatlab.densityev import clause_table
-from twosatlab.numerics import log_clause_term, phi, psi
+from twosatlab.densityev import clause_table, psi
+
+
+def phi(p):
+    """Log-odds, inverse of psi. Inputs must lie strictly in (0,1)."""
+    p = np.asarray(p, dtype=float)
+    out = np.log(p) - np.log1p(-p)
+    return out if out.ndim else float(out)
+
+
+def log_clause_term(z, s_prime):
+    """log((1 + s' tanh(z/2))/2) = -softplus(-s'*z); always <= 0 (-0.0 once
+    s'*z passes about 745). softplus(x) = max(x, 0) + log1p(exp(-|x|)) is
+    within 4 ulp of np.logaddexp(0, x) and several times faster. The
+    reference for `densityev.clause_table` and the forest theta recursion."""
+    x = -np.asarray(s_prime, dtype=float) * z
+    return -(np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x))))
 
 
 def test_psi_matches_expit_within_4_ulp():

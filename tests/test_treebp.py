@@ -13,7 +13,6 @@ from twosatlab import (
     count_solutions,
     format_tree,
     join,
-    leaf,
     log_likelihood,
     negate,
     parse_tree,
@@ -26,24 +25,24 @@ from twosatlab.util import substream
 
 
 def test_isolated_root():
-    assert root_marginal(leaf()) == Fraction(1, 2)
+    assert root_marginal(TreeFormula()) == Fraction(1, 2)
 
 
 def test_single_negative_child():
-    t = TreeFormula(children=((ClauseType(-1, 1), leaf()),))
+    t = TreeFormula(children=((ClauseType(-1, 1), TreeFormula()),))
     assert root_marginal(t) == Fraction(1, 3)
 
 
 def test_join_formula():
     t13 = construct_rational_tree(1, 3)
-    assert root_marginal(join(t13, leaf())) == Fraction(2, 5)
-    assert root_marginal(join(leaf(), leaf())) == Fraction(1, 2)
+    assert root_marginal(join(t13, TreeFormula())) == Fraction(2, 5)
+    assert root_marginal(join(TreeFormula(), TreeFormula())) == Fraction(1, 2)
     t14 = construct_rational_tree(1, 4)
     assert root_marginal(join(t14, negate(t14))) == Fraction(1, 4)
 
 
 def test_negate_examples():
-    assert root_marginal(negate(leaf())) == Fraction(1, 2)
+    assert root_marginal(negate(TreeFormula())) == Fraction(1, 2)
     assert root_marginal(negate(construct_rational_tree(1, 3))) == Fraction(2, 3)
 
 
@@ -100,6 +99,53 @@ def test_construct_random_fractions():
         assert root_marginal(construct_rational_tree(a, b)) == Fraction(a, b)
 
 
+def recursive_construction(a: int, b: int) -> TreeFormula:
+    """`construct_rational_tree` as the plain recursion it runs on a stack:
+    the reference for its text and its sharing (1/b nests b - 2 calls)."""
+    memo, neg_cache = {}, {}
+
+    def build(a, b):
+        g = math.gcd(a, b)
+        a, b = a // g, b // g
+        if (a, b) not in memo:
+            if (a, b) == (1, 2):
+                t = TreeFormula()
+            elif a == 1:
+                t = TreeFormula(children=((ClauseType(-1, 1), build(1, b - 1)),))
+            elif 2 * a > b:
+                t = negate(build(b - a, b), neg_cache)
+            else:
+                t = join(build(a, b - 1), negate(build(a - 1, b - 1), neg_cache))
+            memo[a, b] = t
+        return memo[a, b]
+
+    return build(a, b)
+
+
+def _distinct_nodes(t) -> int:
+    memo = {}
+    fold(t, lambda kids: None, memo)
+    return len(memo)
+
+
+def test_construct_matches_recursive_reference():
+    for b in range(2, 25):
+        for a in range(1, b):
+            got, want = construct_rational_tree(a, b), recursive_construction(a, b)
+            assert format_tree(got) == format_tree(want)
+            assert _distinct_nodes(got) == _distinct_nodes(want)
+    for a, b in ((3, 601), (100, 301)):  # deep, and too large to expand
+        got, want = construct_rational_tree(a, b), recursive_construction(a, b)
+        assert _distinct_nodes(got) == _distinct_nodes(want)
+        assert root_marginal(got) == Fraction(a, b)
+
+
+def test_construct_past_the_recursion_limit():
+    t = construct_rational_tree(3, 3001)
+    assert root_marginal(t) == Fraction(3, 3001)
+    assert expanded_size(construct_rational_tree(1, 5000)) == 4999
+
+
 def test_construct_shared_representation_small():
     # distinct node count stays polynomial even when the expansion is not
     t = construct_rational_tree(13, 31)
@@ -120,7 +166,7 @@ def test_construct_shared_representation_small():
 
 
 def test_log_likelihood():
-    assert log_likelihood(leaf()) == 0.0
+    assert log_likelihood(TreeFormula()) == 0.0
     assert log_likelihood(construct_rational_tree(1, 3)) == pytest.approx(
         math.log(0.5), abs=1e-12
     )
@@ -133,7 +179,7 @@ def test_log_likelihood():
 
 
 def test_to_formula_examples():
-    f = to_formula(leaf())
+    f = to_formula(TreeFormula())
     assert f.n == 1 and f.m == 0
     f = to_formula(construct_rational_tree(1, 3))
     assert f.n == 2 and f.clauses.tolist() == [[1, -1, 2, 1]]
