@@ -9,14 +9,16 @@ Quick mode shrinks Monte Carlo sample counts but keeps every tolerance.
 
 from __future__ import annotations
 
+import contextlib
+import io
 import math
 import os
-import subprocess
-import sys
 import tempfile
 import time
+import traceback
 from dataclasses import dataclass, field
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 
@@ -39,7 +41,7 @@ from .treebp import (
     root_marginal,
     to_formula,
 )
-from .util import ResourceLimitError, child_env, substream
+from .util import ResourceLimitError, substream
 
 FULL_SIZES = {
     "oracle_trees": 500,
@@ -302,21 +304,24 @@ def sat_threshold(ctx: Context) -> tuple[bool, str]:
                 f"{frac[2.2]:.2f} at d=2.2 (<= {THRESHOLD_SAT_HI}), n={n}")
 
 
-def _run_cli(argv: list[str], workdir: str, workers: int) -> subprocess.CompletedProcess:
-    return subprocess.run(
-        [sys.executable, "-m", "twosatlab", *argv, "--workers", str(workers)],
-        cwd=workdir, capture_output=True, env=child_env(),
-    )
+def _run_main(argv: list[str], workdir: str) -> tuple[int, bytes, str]:
+    """Run `twosatlab <argv>` in-process in `workdir`; the cwd and streams are restored."""
+    from .cli import main  # lazy: the benchmark imports this module, not the CLI
 
-
-def _read_files(workdir: str) -> dict[str, bytes]:
-    files = {}
-    for name in sorted(os.listdir(workdir)):
-        path = os.path.join(workdir, name)
-        if os.path.isfile(path):
-            with open(path, "rb") as fh:
-                files[name] = fh.read()
-    return files
+    out, err = io.StringIO(), io.StringIO()
+    cwd = os.getcwd()
+    os.chdir(workdir)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    except SystemExit as exc:  # argparse rejected the arguments
+        code = exc.code
+    except Exception:  # a crash fails the check with its traceback, as a launch did
+        err.write(traceback.format_exc())
+        code = 1
+    finally:
+        os.chdir(cwd)
+    return code, out.getvalue().encode(), err.getvalue()
 
 
 def determinism(ctx: Context) -> tuple[bool, str]:
@@ -332,6 +337,9 @@ def determinism(ctx: Context) -> tuple[bool, str]:
          "--conditioned", "extinct", "--out", "gw2.txt"],
         ["gw-sample", "--d", "1.5", "--depth", "20", "--n", "500", "--seed", "3",
          "--conditioned", "survive", "--method", "population", "--out", "gw3.txt"],
+        # 2500 trees are two chunks, so 8 workers start a process pool
+        ["gw-sample", "--d", "1.5", "--n", "2500", "--seed", "3",
+         "--conditioned", "extinct", "--out", "gw4.txt"],
         ["density-evolution", "--d", "1.2", "--size", "2000", "--iters", "8",
          "--tol", "1e-3", "--seed", "9", "--out", "theta.pop", "--emit-trace",
          "trace.csv"],
@@ -342,22 +350,20 @@ def determinism(ctx: Context) -> tuple[bool, str]:
          "--depth", "10", "--seed", "4", "--out", "mix.json", "--hist", "hist.csv"],
         ["compare", "--a", "theta.pop", "--b", "theta.pop"],
     ]
-    outputs = []
-    for workers in (1, 8):
+    outputs = {1: [], 8: []}
+    for workers, run in outputs.items():
         with tempfile.TemporaryDirectory() as tmp:
-            with open(os.path.join(tmp, "small.txt"), "w") as fh:
-                fh.write("p 2sat 3 2\n1 2\n-1 3\n")
-            run = []
+            Path(tmp, "small.txt").write_text("p 2sat 3 2\n1 2\n-1 3\n")
             for argv in commands:
-                proc = _run_cli(argv, tmp, workers)
-                if proc.returncode != 0:
-                    stderr = proc.stderr.decode(errors="replace").strip().splitlines()
+                code, stdout, stderr = _run_main([*argv, "--workers", str(workers)], tmp)
+                if code != 0:
+                    lines = stderr.strip().splitlines()
                     return False, (f"twosatlab {' '.join(argv)} --workers {workers} exited "
-                                   f"{proc.returncode}: {stderr[-1] if stderr else '(no stderr)'}")
-                run.append((proc.stdout, _read_files(tmp)))
-            outputs.append(run)
-    for cmd, (out1, files1), (out8, files8) in zip(commands, outputs[0], outputs[1]):
-        if out1 != out8 or files1 != files8:
+                                   f"{code}: {lines[-1] if lines else '(no stderr)'}")
+                files = {p.name: p.read_bytes() for p in Path(tmp).iterdir() if p.is_file()}
+                run.append((stdout, files))
+    for cmd, first, second in zip(commands, *outputs.values()):
+        if first != second:  # stdout or some file
             return False, f"output of {' '.join(cmd[:2])} differs between 1 and 8 workers"
     return True, f"{len(commands)} subcommands byte-identical across 1 and 8 workers"
 

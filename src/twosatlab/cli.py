@@ -366,16 +366,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    if hasattr(sys, "set_int_max_str_digits"):  # exact values can be any length
+    # exact values can be any length; the caller's limit is back on every exit
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    if limit is not None:
         sys.set_int_max_str_digits(0)
-    args = build_parser().parse_args(argv)
-    if getattr(args, "seed", 0) is None:  # drawn once, so every artifact records it
-        import secrets
-
-        args.seed = secrets.randbits(48)
-    cfg = {"subcommand": args.subcommand, "seed": getattr(args, "seed", None),
-           "params": {k: v for k, v in vars(args).items() if k not in _NOT_PARAMS}}
     try:
+        args = build_parser().parse_args(argv)
+        if getattr(args, "seed", 0) is None:  # drawn once, so every artifact records it
+            import secrets
+
+            args.seed = secrets.randbits(48)
+        cfg = {"subcommand": args.subcommand, "seed": getattr(args, "seed", None),
+               "params": {k: v for k, v in vars(args).items() if k not in _NOT_PARAMS}}
         if args.workers is None:
             args.workers = default_workers()
         return args.func(args, cfg) or EXIT_OK
@@ -385,6 +387,9 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:  # OSError: a path missing, a directory, ...
         print(f"invalid arguments: {exc}", file=sys.stderr)
         return EXIT_INVALID
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

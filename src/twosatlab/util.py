@@ -1,5 +1,4 @@
-"""Shared plumbing: errors, seeded RNG substreams, chunked parallel maps,
-and the environment for launched `python -m twosatlab` children.
+"""Shared plumbing: errors, seeded RNG substreams and chunked parallel maps.
 
 All randomized operations in the package derive their generators through
 `substream`, so results depend only on the user-visible seed and a fixed
@@ -81,20 +80,6 @@ def chunk_sizes(total: int, chunk: int) -> list[int]:
     if total % chunk:
         out.append(total % chunk)
     return out
-
-
-def child_env() -> dict[str, str]:
-    """Environment for a launched Python child that must import this package.
-
-    `PYTHONPATH` starts with the absolute directory holding the running
-    `twosatlab`, then the inherited value, so a child started in any working
-    directory imports the same code as its caller, never an installed copy.
-    """
-    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    inherited = os.environ.get("PYTHONPATH")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = root + os.pathsep + inherited if inherited else root
-    return env
 
 
 def format_double(x: float) -> str:

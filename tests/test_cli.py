@@ -1,58 +1,64 @@
 """Subcommand behavior, exit codes, artifact formats, determinism."""
 
-import io
 import json
+import os
 import re
 import subprocess
 import sys
+from decimal import Decimal
 
 import numpy as np
 import pytest
 
 import twosatlab
-from twosatlab import acceptance, treebp
+from twosatlab import acceptance, cli, treebp
 from twosatlab.cli import main
 from twosatlab.densityev import read_population
 from twosatlab.analysis import mixture_decomposition
-from twosatlab.util import child_env, format_double, parallel_map
+from twosatlab.util import ResourceLimitError, format_double, parallel_map
 
 
-def run_cli(args, cwd):
-    return subprocess.run(
-        [sys.executable, "-m", "twosatlab", *args],
-        cwd=cwd, capture_output=True, text=True, env=child_env(),
-    )
+def child_env() -> dict[str, str]:
+    """Environment for a launched Python child that must import this package.
+
+    `PYTHONPATH` starts with the absolute directory holding the running
+    `twosatlab`, then the inherited value, so a child started in any working
+    directory imports the same code as its caller, never an installed copy.
+    """
+    root = os.path.dirname(os.path.dirname(os.path.abspath(twosatlab.__file__)))
+    inherited = os.environ.get("PYTHONPATH")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = root + os.pathsep + inherited if inherited else root
+    return env
 
 
-def test_construct_tree_output(tmp_path):
-    out = run_cli(["construct-tree", "2/5"], tmp_path)
-    lines = out.stdout.splitlines()
-    assert out.returncode == 0
+def test_construct_tree_output(capsys):
+    assert main(["construct-tree", "2/5"]) == 0
+    lines = capsys.readouterr().out.splitlines()
     assert lines[-1] == "marginal=2/5"
     assert lines[0].startswith("(v ")
 
 
-def test_gen_deterministic_bytes(tmp_path):
+def test_gen_deterministic_bytes(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
     for name in ("a.txt", "b.txt"):
-        res = run_cli(["gen", "--n", "50", "--d", "1.0", "--seed", "7",
-                       "--out", name], tmp_path)
-        assert res.returncode == 0
+        assert main(["gen", "--n", "50", "--d", "1.0", "--seed", "7", "--out", name]) == 0
     assert (tmp_path / "a.txt").read_bytes() == (tmp_path / "b.txt").read_bytes()
 
 
-def test_gen_auto_seed_recorded(tmp_path):
-    res = run_cli(["gen", "--n", "20", "--d", "1.0", "--out", "f.txt"], tmp_path)
-    assert res.returncode == 0, res.stderr
-    payload = json.loads(res.stdout)
+def test_gen_auto_seed_recorded(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(["gen", "--n", "20", "--d", "1.0", "--out", "f.txt"]) == 0
+    payload = json.loads(capsys.readouterr().out)
     assert payload["config"]["seed"] is not None
 
 
-def test_marginals_json(tmp_path):
-    gen = run_cli(["gen", "--n", "40", "--d", "1.0", "--seed", "3", "--out", "f.txt"],
-                  tmp_path)
-    assert gen.returncode == 0, gen.stderr
-    res = run_cli(["marginals", "--in", "f.txt"], tmp_path)
-    payload = json.loads(res.stdout)
+def test_marginals_json(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(["gen", "--n", "40", "--d", "1.0", "--seed", "3", "--out", "f.txt"]) == 0
+    capsys.readouterr()
+    assert main(["marginals", "--in", "f.txt"]) == 0
+    payload = json.loads(capsys.readouterr().out)
     assert payload["n"] == 40
     # cyclic components can force variables, so 0 and 1 are legal here
     for entry in payload["marginals"]:
@@ -62,38 +68,40 @@ def test_marginals_json(tmp_path):
                for entry in payload["marginals"])
 
 
-def test_count_matches_library(tmp_path):
+def test_count_matches_library(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
     (tmp_path / "f.txt").write_text("p 2sat 2 1\n1 2\n")
-    res = run_cli(["count", "--in", "f.txt"], tmp_path)
-    payload = json.loads(res.stdout)
+    assert main(["count", "--in", "f.txt"]) == 0
+    payload = json.loads(capsys.readouterr().out)
     assert payload["count"] == "3"
     assert payload["true_counts"] == ["2", "2"]
 
 
-def test_exit_code_invalid_argument(tmp_path):
-    res = run_cli(["gen", "--n", "1", "--d", "1.0", "--seed", "0"], tmp_path)
-    assert res.returncode == 2
-    assert "invalid" in res.stderr.lower()
+def test_exit_code_invalid_argument(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(["gen", "--n", "1", "--d", "1.0", "--seed", "0"]) == 2
+    assert "invalid" in capsys.readouterr().err.lower()
 
 
-def test_exit_code_resource_limit(tmp_path):
+def test_exit_code_resource_limit(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
     lines = ["p 2sat 32 31"] + [f"{i} {i + 1}" for i in range(1, 32)]
     (tmp_path / "big.txt").write_text("\n".join(lines) + "\n")
-    res = run_cli(["count", "--in", "big.txt"], tmp_path)
-    assert res.returncode == 3
-    assert "resource" in res.stderr.lower()
+    assert main(["count", "--in", "big.txt"]) == 3
+    assert "resource" in capsys.readouterr().err.lower()
 
 
-def test_exit_code_bad_subcommand(tmp_path):
-    res = run_cli(["frobnicate"], tmp_path)
-    assert res.returncode == 2
+def test_exit_code_bad_subcommand():
+    with pytest.raises(SystemExit) as exc:
+        main(["frobnicate"])
+    assert exc.value.code == 2
 
 
-def test_gw_sample_output_format(tmp_path):
-    res = run_cli(["gw-sample", "--d", "1.5", "--depth", "4", "--n", "50",
-                   "--seed", "9", "--conditioned", "extinct", "--out", "v.txt"],
-                  tmp_path)
-    summary = json.loads(res.stdout)
+def test_gw_sample_output_format(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(["gw-sample", "--d", "1.5", "--depth", "4", "--n", "50", "--seed", "9",
+                 "--conditioned", "extinct", "--out", "v.txt"]) == 0
+    summary = json.loads(capsys.readouterr().out)
     assert summary["samples"] == 50
     assert summary["eta"] == pytest.approx(0.41718835, abs=1e-6)
     values = [float(line) for line in (tmp_path / "v.txt").read_text().splitlines()]
@@ -101,21 +109,21 @@ def test_gw_sample_output_format(tmp_path):
     assert all(0.0 < v < 1.0 for v in values)
 
 
-def test_gw_sample_survive_population(tmp_path):
-    res = run_cli(["gw-sample", "--d", "1.5", "--depth", "30", "--n", "400",
-                   "--seed", "2", "--conditioned", "survive", "--out", "s.txt"],
-                  tmp_path)
-    summary = json.loads(res.stdout)
+def test_gw_sample_survive_population(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(["gw-sample", "--d", "1.5", "--depth", "30", "--n", "400", "--seed", "2",
+                 "--conditioned", "survive", "--out", "s.txt"]) == 0
+    summary = json.loads(capsys.readouterr().out)
     assert summary["method"] == "population"
     values = [float(x) for x in (tmp_path / "s.txt").read_text().split()]
     assert len(values) == 400
 
 
-def test_density_evolution_artifacts(tmp_path):
-    res = run_cli(["density-evolution", "--d", "1.5", "--size", "3000",
-                   "--iters", "25", "--tol", "1e-3", "--seed", "5",
-                   "--out", "p.pop", "--emit-trace", "t.csv"], tmp_path)
-    summary = json.loads(res.stdout)
+def test_density_evolution_artifacts(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(["density-evolution", "--d", "1.5", "--size", "3000", "--iters", "25",
+                 "--tol", "1e-3", "--seed", "5", "--out", "p.pop", "--emit-trace", "t.csv"]) == 0
+    summary = json.loads(capsys.readouterr().out)
     assert summary["converged"] is True
     with open(tmp_path / "p.pop") as fh:
         pop = read_population(fh)
@@ -126,24 +134,23 @@ def test_density_evolution_artifacts(tmp_path):
     assert len(lines) >= 3
 
 
-def test_atoms_table(tmp_path):
-    de = run_cli(["density-evolution", "--d", "1.2", "--size", "4000", "--iters", "20",
-                  "--tol", "1e-3", "--seed", "6", "--operator", "de", "--out", "mu.pop"],
-                 tmp_path)
-    assert de.returncode == 0, de.stderr
-    res = run_cli(["atoms", "--in", "mu.pop", "--min-count", "40"], tmp_path)
-    assert res.returncode == 0
-    assert "1/2" in res.stdout
-    assert "pass" in res.stdout
-    payload = json.loads(res.stdout[res.stdout.index("{"):])
+def test_atoms_table(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(["density-evolution", "--d", "1.2", "--size", "4000", "--iters", "20",
+                 "--tol", "1e-3", "--seed", "6", "--operator", "de", "--out", "mu.pop"]) == 0
+    capsys.readouterr()
+    assert main(["atoms", "--in", "mu.pop", "--min-count", "40"]) == 0
+    out = capsys.readouterr().out
+    assert "1/2" in out
+    assert "pass" in out
+    payload = json.loads(out[out.index("{"):])
     assert payload["report"]["atoms"]
 
 
-def test_mixture_artifacts(tmp_path):
-    res = run_cli(["mixture", "--d", "1.5", "--n-discrete", "1000",
-                   "--n-continuous", "1000", "--depth", "8", "--seed", "3",
-                   "--out", "m.json", "--hist", "h.csv"], tmp_path)
-    assert res.returncode == 0
+def test_mixture_artifacts(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(["mixture", "--d", "1.5", "--n-discrete", "1000", "--n-continuous", "1000",
+                 "--depth", "8", "--seed", "3", "--out", "m.json", "--hist", "h.csv"]) == 0
     report = json.loads((tmp_path / "m.json").read_text())
     assert report["eta"] == pytest.approx(0.41718835, abs=1e-6)
     assert report["continuous_summary"]["support_total_bins"] == 20
@@ -187,20 +194,21 @@ def test_memory_error_exits_resource_limit(tmp_path):
     assert res.stderr.splitlines()[-1].startswith("resource limit: ")
 
 
-def test_compare_identical(tmp_path):
-    de = run_cli(["density-evolution", "--d", "1.0", "--size", "1000", "--iters", "5",
-                  "--tol", "1e-2", "--seed", "8", "--out", "x.pop"], tmp_path)
-    assert de.returncode == 0, de.stderr
-    res = run_cli(["compare", "--a", "x.pop", "--b", "x.pop"], tmp_path)
-    payload = json.loads(res.stdout)
+def test_compare_identical(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(["density-evolution", "--d", "1.0", "--size", "1000", "--iters", "5",
+                 "--tol", "1e-2", "--seed", "8", "--out", "x.pop"]) == 0
+    capsys.readouterr()
+    assert main(["compare", "--a", "x.pop", "--b", "x.pop"]) == 0
+    payload = json.loads(capsys.readouterr().out)
     assert payload["w1"] == 0.0 and payload["ks"] == 0.0
 
 
-def test_gw_sample_tree_dump(tmp_path):
-    res = run_cli(["gw-sample", "--d", "1.5", "--depth", "3", "--n", "20",
-                   "--seed", "5", "--conditioned", "survive", "--method", "tree",
-                   "--out", "v.txt", "--dump-trees", "trees.txt"], tmp_path)
-    assert res.returncode == 0
+def test_gw_sample_tree_dump(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(["gw-sample", "--d", "1.5", "--depth", "3", "--n", "20", "--seed", "5",
+                 "--conditioned", "survive", "--method", "tree", "--out", "v.txt",
+                 "--dump-trees", "trees.txt"]) == 0
     lines = (tmp_path / "trees.txt").read_text().splitlines()
     assert len(lines) == 20
     assert all(line.startswith("(v!") for line in lines)
@@ -364,11 +372,16 @@ def test_workers_must_be_positive(workers, capsys):
 
 
 def test_workers_do_not_change_output(tmp_path):
+    # two launches: 2500 discrete trees are two chunks, so 4 workers start a
+    # pool, and each launch has its own hash seed, which the in-process
+    # determinism check cannot vary
     outputs = []
-    for workers in ("1", "4"):
-        res = run_cli(["mixture", "--d", "1.3", "--n-discrete", "2000",
-                       "--n-continuous", "500", "--depth", "6", "--seed", "11",
-                       "--workers", workers], tmp_path)
+    for workers, hash_seed in (("1", "1"), ("4", "2")):
+        res = subprocess.run(
+            [sys.executable, "-m", "twosatlab", "mixture", "--d", "1.3", "--n-discrete", "2500",
+             "--n-continuous", "500", "--depth", "6", "--seed", "11", "--workers", workers],
+            cwd=tmp_path, capture_output=True, text=True,
+            env={**child_env(), "PYTHONHASHSEED": hash_seed})
         assert res.returncode == 0, res.stderr
         outputs.append(res.stdout)
     assert outputs[0] == outputs[1]
@@ -386,17 +399,25 @@ def test_child_imports_the_caller_package(tmp_path, monkeypatch):
 
 
 def test_determinism_reports_launch_failure(monkeypatch):
-    def failing(argv, workdir, workers):
-        return subprocess.CompletedProcess(
-            argv, 3, stdout=b"", stderr=b"note\nresource limit: too big\n")
+    def failing(args, cfg):
+        print("note", file=sys.stderr)
+        raise ResourceLimitError("too big")
 
-    monkeypatch.setattr(acceptance, "_run_cli", failing)
+    monkeypatch.setattr(cli, "cmd_gen", failing)
     ctx = acceptance.Context(sizes=acceptance.QUICK_SIZES, seed=1, workers=None)
     passed, detail = acceptance.determinism(ctx)
     assert not passed
     assert "twosatlab gen --n 60" in detail
     assert "--workers 1 exited 3" in detail
     assert detail.endswith("resource limit: too big")
+
+
+def test_determinism_fails_when_configs_embed_workers(monkeypatch):
+    monkeypatch.setattr(cli, "_NOT_PARAMS", cli._NOT_PARAMS - {"workers"})
+    ctx = acceptance.Context(sizes=acceptance.QUICK_SIZES, seed=1, workers=None)
+    passed, detail = acceptance.determinism(ctx)
+    assert not passed
+    assert detail.endswith("differs between 1 and 8 workers")
 
 
 def test_tree_bp_deep_chain_in_process(tmp_path, capsys):
@@ -419,13 +440,13 @@ def test_tree_bp_marginal_past_int_str_limit(tmp_path, capsys):
     path = tmp_path / "binary.txt"
     path.write_text(treebp.format_tree(t) + "\n")
     limit = sys.get_int_max_str_digits()
-    try:
-        assert main(["tree-bp", "--in", str(path)]) == 0
-        q = treebp.root_marginal(t)
-        assert len(str(q.denominator)) > 4300
-        assert json.loads(capsys.readouterr().out)["marginal"] == f"{q.numerator}/{q.denominator}"
-    finally:
-        sys.set_int_max_str_digits(limit)
+    assert main(["tree-bp", "--in", str(path)]) == 0
+    assert sys.get_int_max_str_digits() == limit  # main lifts the limit only while it runs
+    num, den = json.loads(capsys.readouterr().out)["marginal"].split("/")
+    q = treebp.root_marginal(t)
+    assert len(den) > 4300
+    # Decimal parses past the int-str limit, and compares with an int exactly
+    assert (Decimal(num), Decimal(den)) == (q.numerator, q.denominator)
 
 
 def _packages_after(code):
