@@ -106,8 +106,8 @@ def detect_atoms(
     fraction with denominator <= max_den; clusters that are too small or
     do not snap within the window land in residual_mass.
     """
-    if window <= 0:
-        raise ValueError("window must be positive")
+    if not window > 0:  # NaN fails too
+        raise ValueError(f"window must be positive, got {window}")
     if max_den < 2:
         raise ValueError("max_den must be >= 2")
     if isinstance(samples, Population):

@@ -19,8 +19,8 @@ import json
 import sys
 
 from . import treebp
-from .util import (COMPONENT_CAP, ENUM_CAP, ResourceLimitError, default_workers,
-                   format_double)
+from .util import (COMPONENT_CAP, ENUM_CAP, EXPAND_CAP, ResourceLimitError,
+                   default_workers, format_double)
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -105,7 +105,7 @@ def cmd_marginals(args, cfg):
 def cmd_tree_bp(args, cfg):
     if args.tree is None and args.infile is None:
         raise ValueError("pass a tree with --tree or --in")
-    if args.tree:
+    if args.tree is not None:
         t = treebp.parse_tree(args.tree)
     else:
         with open(args.infile) as fh:
@@ -124,6 +124,9 @@ def cmd_tree_bp(args, cfg):
 def cmd_construct_tree(args, cfg):
     a, b = args.fraction.split("/")
     t = treebp.construct_rational_tree(int(a), int(b))
+    size = treebp.expanded_size(t)
+    if size > EXPAND_CAP:  # the text writes every node of the expansion
+        raise ResourceLimitError(f"expanded tree has {size} nodes, cap {EXPAND_CAP}")
     q = treebp.root_marginal(t)
     print(treebp.format_tree(t))
     print(f"marginal={q.numerator}/{q.denominator}")
@@ -200,6 +203,10 @@ def cmd_density_evolution(args, cfg):
 def cmd_atoms(args, cfg):
     from . import analysis, densityev, gwsim
 
+    if args.d is not None and not 0 < args.d < 2:
+        raise ValueError(f"--d must be in (0,2), got {args.d}")
+    if not args.weight > 0:
+        raise ValueError(f"--weight must be positive, got {args.weight}")
     with open(args.infile) as fh:
         pop = densityev.read_population(fh)
     report = analysis.detect_atoms(
@@ -325,8 +332,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("density-evolution", cmd_density_evolution,
             help="iterate the population recursion to its fixed point")
     p.add_argument("--d", type=float, required=True)
-    p.add_argument("--size", type=int, default=100_000)
-    p.add_argument("--iters", type=int, default=60)
+    p.add_argument("--size", type=_positive_int, default=100_000)
+    p.add_argument("--iters", type=_positive_int, default=60)
     p.add_argument("--tol", type=float, default=1e-3)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--operator", choices=["ll", "de"], default="ll")
@@ -337,20 +344,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--window", type=float, default=1e-9)
     p.add_argument("--max-den", type=int, default=64)
-    p.add_argument("--min-count", type=int, default=2)
+    p.add_argument("--min-count", type=_positive_int, default=2)
     p.add_argument("--d", type=float, default=None)
     p.add_argument("--weight", type=float, default=1.0)
 
     p = add("mixture", cmd_mixture, help="discrete/continuous mixture decomposition")
     p.add_argument("--d", type=float, required=True)
-    p.add_argument("--n-discrete", type=int, default=100_000)
-    p.add_argument("--n-continuous", type=int, default=100_000)
+    p.add_argument("--n-discrete", type=_positive_int, default=100_000)
+    p.add_argument("--n-continuous", type=_positive_int, default=100_000)
     p.add_argument("--depth", type=int, default=30)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--bins", type=int, default=20)
+    p.add_argument("--bins", type=_positive_int, default=20)
     p.add_argument("--window", type=float, default=1e-6)
     p.add_argument("--max-den", type=int, default=64)
-    p.add_argument("--min-count", type=int, default=1)
+    p.add_argument("--min-count", type=_positive_int, default=1)
     p.add_argument("--out", default=None)
     p.add_argument("--hist", default=None)
 

@@ -4,20 +4,18 @@ Every node is a variable; each child hangs below a clause of one of the
 four types (s, s'): the parent appears in the clause with sign s, the child
 with sign s'. The root marginal of such a tree is always a rational in
 (0,1), and conversely `construct_rational_tree` realizes any target
-fraction as a root marginal. Sub-structures may be shared (the recursions
-only look downward), which keeps the constructed trees polynomial-size;
-every exact walk is one `fold`, which visits each distinct node once.
+fraction as a root marginal, building each fraction's tree with its
+negation so that a/b shares at most b^2/4 distinct nodes. Every exact walk
+is one `fold`, which visits each distinct node once.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, log
 from typing import NamedTuple
 
-from .util import ResourceLimitError
+from .util import EXPAND_CAP, ResourceLimitError
 
 
 class ClauseType(NamedTuple):
@@ -33,11 +31,21 @@ CLAUSE_TYPES = (
 )
 
 
-@dataclass(frozen=True, eq=False)
 class TreeFormula:
-    """Rooted tree node; children are (clause type, subtree) pairs."""
+    """Immutable tree node, equal only to itself; children are (clause type, subtree) pairs."""
 
-    children: tuple = ()
+    __slots__ = ("children",)
+
+    def __init__(self, children: tuple = ()):
+        object.__setattr__(self, "children", children)
+
+    def __setattr__(self, *_):
+        raise AttributeError("TreeFormula is immutable")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):  # pickle and copy rebuild through __init__, not setattr
+        return TreeFormula, (self.children,)
 
 
 def bp_pair(entries) -> tuple[int, int]:
@@ -65,16 +73,14 @@ def bp_pair(entries) -> tuple[int, int]:
     return x // g, y // g
 
 
-def fold(root, combine, memo: dict | None = None):
+def fold(root, combine):
     """Value of `root` under a memoised post-order fold; works on any node
     with `.children`.
 
     Each distinct node (by identity) is visited once, after its children:
-    its value is combine([(clause type, child value), ...]). A caller can
-    pass `memo` (node id -> value) to share values across calls; it must
-    then keep the nodes it has seen alive.
+    its value is combine([(clause type, child value), ...]).
     """
-    memo = {} if memo is None else memo
+    memo = {}
     stack = [root]
     while stack:
         node = stack[-1]
@@ -96,24 +102,15 @@ def root_marginal(t) -> Fraction:
     return Fraction(*fold(t, bp_pair))
 
 
-def negate(t: TreeFormula, _cache: dict | None = None) -> TreeFormula:
-    """Flip every edge sign on both sides; sends marginal q to 1-q.
-
-    A caller constructing many overlapping trees can pass a shared cache so
-    each node is negated at most once; the cache must outlive the inputs.
-    """
+def negate(t: TreeFormula) -> TreeFormula:
+    """Flip every edge sign on both sides; sends marginal q to 1-q."""
     return fold(t, lambda kids: TreeFormula(
-        children=tuple((ClauseType(-s, -sp), c) for (s, sp), c in kids)), _cache)
+        children=tuple((ClauseType(-s, -sp), c) for (s, sp), c in kids)))
 
 
 def join(t1: TreeFormula, t2: TreeFormula) -> TreeFormula:
-    """New root with a (-,+) edge to t1 and a (+,+) edge to t2.
-
-    Sends marginals (p, q) to p/(p+q).
-    """
-    return TreeFormula(
-        children=((ClauseType(-1, +1), t1), (ClauseType(+1, +1), t2))
-    )
+    """New root with a (-,+) edge to t1 and a (+,+) edge to t2: sends (p, q) to p/(p+q)."""
+    return TreeFormula(((ClauseType(-1, +1), t1), (ClauseType(+1, +1), t2)))
 
 
 def construct_rational_tree(a: int, b: int) -> TreeFormula:
@@ -122,16 +119,20 @@ def construct_rational_tree(a: int, b: int) -> TreeFormula:
     Recursion on the reduced fraction, run on an explicit stack so any
     denominator fits: 1/2 is a bare root; 1/b chains one (-,+) edge onto
     1/(b-1); fractions above 1/2 are negations; the rest is
-    join(a/(b-1), 1 - (a-1)/(b-1)) which joins to exactly a/b. Shared
-    subtrees are memoized per reduced fraction, so the representation stays
-    polynomial in b even though the expanded tree is not.
+    join(a/(b-1), 1 - (a-1)/(b-1)) which joins to exactly a/b. The memo
+    maps each reduced fraction to its tree and that tree's negation, built
+    together, so a/b has at most b^2/4 distinct nodes (no copies).
     """
     if not (isinstance(a, int) and isinstance(b, int)):
         raise ValueError("numerator and denominator must be integers")
     if a <= 0 or a >= b:
         raise ValueError(f"need 0 < a < b, got {a}/{b}")
-    memo: dict[tuple[int, int], TreeFormula] = {(1, 2): TreeFormula()}
-    neg_cache: dict[int, TreeFormula] = {}
+
+    def node(kids):  # edges (clause type, (tree, negation)) -> (tree, negation)
+        return (TreeFormula(tuple((ct, t) for ct, (t, _) in kids)),
+                TreeFormula(tuple((ClauseType(-s, -sp), n) for (s, sp), (_, n) in kids)))
+
+    memo: dict[tuple[int, int], tuple[TreeFormula, TreeFormula]] = {(1, 2): (TreeFormula(),) * 2}
     g = gcd(a, b)
     root = (a // g, b // g)
     stack = [root]  # explicit: the chain below 1/b alone is b - 2 steps deep
@@ -141,26 +142,25 @@ def construct_rational_tree(a: int, b: int) -> TreeFormula:
             stack.pop()
             continue
         if x == 1:
-            parts = [(1, y - 1)]
-            make = lambda t: TreeFormula(children=((ClauseType(-1, +1), t),))
+            parts, make = [(1, y - 1)], lambda t: node([(ClauseType(-1, +1), t)])
         elif 2 * x > y:
-            parts, make = [(y - x, y)], lambda t: negate(t, neg_cache)
+            parts, make = [(y - x, y)], lambda t: t[::-1]
         else:
             parts = [(c // gcd(c, y - 1), (y - 1) // gcd(c, y - 1)) for c in (x, x - 1)]
-            make = lambda t, u: join(t, negate(u, neg_cache))
+            make = lambda t, u: node([(ClauseType(-1, +1), t), (ClauseType(+1, +1), u[::-1])])
         pending = [k for k in parts if k not in memo]
-        if pending:  # built in the order the recursion would build them
-            stack.extend(reversed(pending))
+        if pending:
+            stack.extend(pending)
             continue
         stack.pop()
         memo[key] = make(*(memo[k] for k in parts))
-    return memo[root]
+    return memo[root][0]
 
 
 def log_likelihood(t: TreeFormula) -> float:
     """Log-odds of the exact root marginal, log(q/(1-q)), as a float."""
     q = root_marginal(t)
-    return math.log(q.numerator) - math.log(q.denominator - q.numerator)
+    return log(q.numerator) - log(q.denominator - q.numerator)
 
 
 def expanded_size(t: TreeFormula) -> int:
@@ -168,13 +168,13 @@ def expanded_size(t: TreeFormula) -> int:
     return fold(t, lambda kids: 1 + sum(n for _, n in kids))
 
 
-def to_formula(t: TreeFormula, cap: int = 1 << 16):
+def to_formula(t: TreeFormula):
     """Expand into a Formula whose factor graph is this tree, root = var 1."""
     from .formula import Formula
 
     size = expanded_size(t)
-    if size > cap:
-        raise ResourceLimitError(f"expanded tree has {size} nodes, cap {cap}")
+    if size > EXPAND_CAP:
+        raise ResourceLimitError(f"expanded tree has {size} nodes, cap {EXPAND_CAP}")
     clauses = []
     next_id = 2
     queue = [(1, t)]

@@ -17,10 +17,11 @@ T = TypeVar("T")
 R = TypeVar("R")
 
 WORKERS_ENV = "TWOSATLAB_WORKERS"
-# caps of the exact formula kernels; here, not in `formula`, so the CLI reads
-# its defaults without importing numpy
+# caps of the exact kernels; here, not in `formula`, so the CLI reads its
+# defaults without importing numpy
 ENUM_CAP = 28
 COMPONENT_CAP = 2000
+EXPAND_CAP = 1 << 16  # expanded tree nodes: `treebp.to_formula`, `construct-tree` text
 
 
 class ResourceLimitError(RuntimeError):

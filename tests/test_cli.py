@@ -91,6 +91,58 @@ def test_exit_code_resource_limit(tmp_path, monkeypatch, capsys):
     assert "resource" in capsys.readouterr().err.lower()
 
 
+def test_construct_tree_past_the_expansion_cap_exits_resource_limit(capsys):
+    # 23/64 expands to 67,814 nodes: the text would hold every one of them
+    assert main(["construct-tree", "23/64"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("resource limit:") and "67814" in err
+
+
+def test_tree_bp_empty_tree_exits_invalid(capsys):
+    assert main(["tree-bp", "--tree", ""]) == 2
+    assert capsys.readouterr().err.startswith("invalid arguments: bad tree text")
+
+
+@pytest.mark.parametrize("argv", [
+    ["atoms", "--in", "mu.pop", "--window", "nan"],
+    ["atoms", "--in", "mu.pop", "--d", "nan"],
+    ["atoms", "--in", "mu.pop", "--d", "5"],
+    ["atoms", "--in", "mu.pop", "--weight", "nan"],
+    ["atoms", "--in", "mu.pop", "--min-count", "-5"],
+    ["mixture", "--d", "0.8", "--n-discrete", "50", "--seed", "1", "--window", "nan"],
+    ["density-evolution", "--d", "1.5", "--size", "200", "--seed", "1", "--tol", "nan"],
+    ["density-evolution", "--d", "1.5", "--size", "200", "--seed", "1", "--tol", "-1"],
+    ["density-evolution", "--d", "1.5", "--size", "200", "--seed", "1", "--iters", "0"],
+    ["density-evolution", "--d", "1.5", "--size", "200", "--seed", "1", "--iters", "-4"],
+], ids=lambda argv: " ".join([argv[0], *argv[-2:]]))
+def test_nonsense_numeric_flags_exit_invalid(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "mu.pop").write_text("# pop v1 kind=MU d=0.8 gen=0 seed=0\n0.5\n0.5\n0.25\n")
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse rejects a malformed count
+        code = exc.code
+    err = capsys.readouterr().err
+    assert code == 2 and "Traceback" not in err
+    messages = [line for line in err.splitlines()
+                if line.startswith("invalid arguments:") or ": error: argument" in line]
+    assert len(messages) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["mixture", "--d", "1.5", "--n-continuous", "0"],
+    ["mixture", "--d", "1.5", "--bins", "0"],
+    ["density-evolution", "--d", "1.5", "--size", "-3"],
+], ids=lambda argv: " ".join([argv[0], *argv[-2:]]))
+def test_empty_counts_name_their_flag(argv, capsys):
+    # before any sampling, and in the package's words, not numpy's
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"{argv[-2]}: must be at least 1, got {argv[-1]}" in capsys.readouterr().err
+
+
 def test_exit_code_bad_subcommand():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
@@ -473,7 +525,7 @@ def test_package_import_loads_no_numpy():
                          ids=["construct-tree", "tree-bp"])
 def test_exact_subcommands_load_no_numpy(argv):
     loaded = _packages_after(f"from twosatlab.cli import main\nassert main({argv!r}) == 0")
-    assert not loaded & {"numpy", "multiprocessing", "scipy"}
+    assert not loaded & {"numpy", "multiprocessing", "scipy", "dataclasses", "inspect"}
 
 
 # every name `twosatlab` exported when it imported its submodules eagerly,

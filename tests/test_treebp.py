@@ -1,6 +1,7 @@
 """Tree belief propagation: exactness, constructions, serialization."""
 
 import math
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -20,8 +21,9 @@ from twosatlab import (
     to_formula,
 )
 from twosatlab.acceptance import random_tree
+from twosatlab.gwsim import tree_probability
 from twosatlab.treebp import expanded_size, fold
-from twosatlab.util import substream
+from twosatlab.util import EXPAND_CAP, substream
 
 
 def test_isolated_root():
@@ -99,10 +101,37 @@ def test_construct_random_fractions():
         assert root_marginal(construct_rational_tree(a, b)) == Fraction(a, b)
 
 
+def _post_order(t, known=()) -> list:
+    """Distinct nodes of `t` (by identity), each after its children; nodes
+    whose id is in `known` are left out, and so are their subtrees."""
+    order, seen, stack = [], set(), [(t, False)]
+    while stack:
+        node, done = stack.pop()
+        if done:
+            order.append(node)
+        elif id(node) not in seen and id(node) not in known:
+            seen.add(id(node))
+            stack.append((node, True))
+            stack.extend((c, False) for _, c in node.children)
+    return order
+
+
+def _distinct_nodes(t) -> int:
+    return len(_post_order(t))
+
+
 def recursive_construction(a: int, b: int) -> TreeFormula:
-    """`construct_rational_tree` as the plain recursion it runs on a stack:
-    the reference for its text and its sharing (1/b nests b - 2 calls)."""
-    memo, neg_cache = {}, {}
+    """The construction as a plain recursion that copies negations: trees
+    memoized per reduced fraction, each node negated once through a
+    node-identity memo. The reference for `construct_rational_tree`'s text
+    (1/b nests b - 2 calls)."""
+    memo, negated = {}, {}
+
+    def neg(t):
+        for node in _post_order(t, negated):
+            negated[id(node)] = TreeFormula(tuple(
+                (ClauseType(-s, -sp), negated[id(c)]) for (s, sp), c in node.children))
+        return negated[id(t)]
 
     def build(a, b):
         g = math.gcd(a, b)
@@ -113,31 +142,47 @@ def recursive_construction(a: int, b: int) -> TreeFormula:
             elif a == 1:
                 t = TreeFormula(children=((ClauseType(-1, 1), build(1, b - 1)),))
             elif 2 * a > b:
-                t = negate(build(b - a, b), neg_cache)
+                t = neg(build(b - a, b))
             else:
-                t = join(build(a, b - 1), negate(build(a - 1, b - 1), neg_cache))
+                t = join(build(a, b - 1), neg(build(a - 1, b - 1)))
             memo[a, b] = t
         return memo[a, b]
 
     return build(a, b)
 
 
-def _distinct_nodes(t) -> int:
-    memo = {}
-    fold(t, lambda kids: None, memo)
-    return len(memo)
-
-
 def test_construct_matches_recursive_reference():
-    for b in range(2, 25):
+    # same text and exact marginals; the pair memo shares at least as much
+    for b in range(2, 41):
         for a in range(1, b):
             got, want = construct_rational_tree(a, b), recursive_construction(a, b)
             assert format_tree(got) == format_tree(want)
-            assert _distinct_nodes(got) == _distinct_nodes(want)
+            assert root_marginal(got) == Fraction(a, b)
+            assert _distinct_nodes(got) <= _distinct_nodes(want)
+            for d in (0.8, 1.5):
+                assert tree_probability(got, d) == tree_probability(want, d)
     for a, b in ((3, 601), (100, 301)):  # deep, and too large to expand
         got, want = construct_rational_tree(a, b), recursive_construction(a, b)
-        assert _distinct_nodes(got) == _distinct_nodes(want)
+        assert _distinct_nodes(got) <= _distinct_nodes(want)
         assert root_marginal(got) == Fraction(a, b)
+
+
+def test_construct_distinct_nodes_within_quarter_b_squared():
+    fractions = [(a, b) for b in range(2, 61) for a in range(1, b) if math.gcd(a, b) == 1]
+    for a, b in fractions + [(100, 201)]:
+        assert _distinct_nodes(construct_rational_tree(a, b)) <= b * b / 4, (a, b)
+
+
+def test_tree_formula_is_immutable_with_identity_equality():
+    t = TreeFormula()
+    with pytest.raises(AttributeError):
+        t.children = ((ClauseType(1, 1), TreeFormula()),)
+    with pytest.raises(AttributeError):
+        del t.children
+    assert t.children == () and t == t and t != TreeFormula()
+    assert len({t, TreeFormula(), TreeFormula(children=())}) == 3
+    u = construct_rational_tree(7, 19)  # pickling rebuilds through __init__
+    assert format_tree(pickle.loads(pickle.dumps(u))) == format_tree(u)
 
 
 def test_construct_past_the_recursion_limit():
@@ -149,20 +194,13 @@ def test_construct_past_the_recursion_limit():
 def test_construct_shared_representation_small():
     # distinct node count stays polynomial even when the expansion is not
     t = construct_rational_tree(13, 31)
-    seen = set()
-    stack = [t]
-    while stack:
-        node = stack.pop()
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        stack.extend(c for _, c in node.children)
-    assert len(seen) <= 31 * 31
-    assert expanded_size(t) > len(seen)
+    distinct = _distinct_nodes(t)
+    assert distinct <= 31 * 31
+    assert expanded_size(t) > distinct
     # the fold visits each distinct node once, however often it is shared
     calls = []
     assert fold(t, lambda kids: calls.append(1) or len(kids)) == len(t.children)
-    assert len(calls) == len(seen)
+    assert len(calls) == distinct
 
 
 def test_log_likelihood():
@@ -190,7 +228,7 @@ def test_to_formula_examples():
 
 def test_to_formula_cap():
     t = construct_rational_tree(37, 80)
-    assert expanded_size(t) > 1 << 16
+    assert expanded_size(t) > EXPAND_CAP
     with pytest.raises(ResourceLimitError):
         to_formula(t)
 
