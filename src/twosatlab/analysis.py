@@ -10,6 +10,7 @@ discrete part (weight eta) and the survival-conditioned continuous part
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -106,8 +107,8 @@ def detect_atoms(
     fraction with denominator <= max_den; clusters that are too small or
     do not snap within the window land in residual_mass.
     """
-    if not window > 0:  # NaN fails too
-        raise ValueError(f"window must be positive, got {window}")
+    if not 0 < window < math.inf:  # NaN fails too
+        raise ValueError(f"window must be positive and finite, got {window}")
     if max_den < 2:
         raise ValueError("max_den must be >= 2")
     if isinstance(samples, Population):
@@ -151,7 +152,8 @@ def detect_atoms(
     atoms = [
         Atom(value=v, mass=c / n, width=w, count=c) for v, (c, w) in found.items()
     ]
-    atoms.sort(key=lambda a: (-a.count, a.value))
+    # a/b as a float is correctly rounded, hence monotone: Fractions compare only on float ties
+    atoms.sort(key=lambda a: (-a.count, a.value.numerator / a.value.denominator, a.value))
     return AtomReport(
         atoms=atoms,
         residual_mass=residual / n,

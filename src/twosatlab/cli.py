@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from . import treebp
@@ -122,8 +123,12 @@ def cmd_tree_bp(args, cfg):
 
 
 def cmd_construct_tree(args, cfg):
-    a, b = args.fraction.split("/")
-    t = treebp.construct_rational_tree(int(a), int(b))
+    try:
+        a, b = map(int, args.fraction.split("/"))
+    except ValueError:  # too few or too many parts, or a part that is no integer
+        raise ValueError(
+            f"expected a fraction a/b of two integers, got {args.fraction!r}") from None
+    t = treebp.construct_rational_tree(a, b)
     size = treebp.expanded_size(t)
     if size > EXPAND_CAP:  # the text writes every node of the expansion
         raise ResourceLimitError(f"expanded tree has {size} nodes, cap {EXPAND_CAP}")
@@ -205,8 +210,8 @@ def cmd_atoms(args, cfg):
 
     if args.d is not None and not 0 < args.d < 2:
         raise ValueError(f"--d must be in (0,2), got {args.d}")
-    if not args.weight > 0:
-        raise ValueError(f"--weight must be positive, got {args.weight}")
+    if not 0 < args.weight < math.inf:
+        raise ValueError(f"--weight must be positive and finite, got {args.weight}")
     with open(args.infile) as fh:
         pop = densityev.read_population(fh)
     report = analysis.detect_atoms(

@@ -194,8 +194,8 @@ def fixpoint(
     """
     if not 0 < d < 2:
         raise ValueError(f"need d in (0,2), got {d}")
-    if not tol > 0:  # NaN fails too
-        raise ValueError(f"tol must be positive, got {tol}")
+    if not 0 < tol < math.inf:  # NaN fails too
+        raise ValueError(f"tol must be positive and finite, got {tol}")
     if operator == "ll":
         cur = Population(samples=np.zeros(size), kind=Kind.THETA, d=d, seed=seed)
         step = apply_ll

@@ -12,11 +12,13 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import IO
 
 import numpy as np
 
 from .densityev import Kind, Population
+from .treebp import fold_factors, product_pairs
 from .util import COMPONENT_CAP, ENUM_CAP, ResourceLimitError, substream
 
 _ELIM_WIDTH_CAP = 22
@@ -162,16 +164,72 @@ def is_satisfiable(f: Formula) -> bool:
     return bool(np.all(labels[0::2] != labels[1::2]))
 
 
-# -- exact marginals: one two-pass sum-product kernel per component ----------
+# -- exact marginals: two two-pass kernels, one per kind of component ---------
 #
-# Per component, one min-degree variable elimination (forward pass) yields the
-# count Z, and one calibration of its bucket tree (backward pass) every
-# variable's counts: integer belief propagation on trees. A bucket over w
-# variables is a list of 2^w Python ints; w above `width_cap`, or more cells
-# over all buckets than 2^(width_cap + 1), is a ResourceLimitError raised
-# before any table exists. Width alone does not bound memory: every bucket is
-# kept until the backward pass (width 19 over 1.5M cells peaked at 497 MB).
-# count_solutions is the independent enumeration oracle.
+# A single clause has a closed form. Any other tree component (one clause
+# fewer than variables) runs integer belief propagation on reduced (a, b)
+# pairs, `_tree_pairs`. Every other component runs one min-degree variable
+# elimination (forward pass), which yields the count Z, and one calibration
+# of its bucket tree (backward pass), which yields every variable's counts.
+# A bucket over w variables is a list of 2^w Python ints; w above
+# `width_cap`, or more cells over all buckets than 2^(width_cap + 1), is a
+# ResourceLimitError raised before any table exists. Width alone does not
+# bound memory: every bucket is kept until the backward pass (width 19 over
+# 1.5M cells peaked at 497 MB). count_solutions is the independent
+# enumeration oracle.
+
+
+def _tree_pairs(root: int, rows: list) -> dict[int, tuple[int, int]]:
+    """Reduced marginal pair (a, b) of every variable of a tree component.
+
+    Integer belief propagation over the breadth-first generations from
+    `root`. The upward pass folds each generation into its parents'
+    products (`treebp.fold_factors`). The downward pass divides a child's
+    own factor out of its parent's products: exactly, since every tree
+    marginal a/b has 0 < a < b. The reduced rest reaches the child through
+    the reversed clause type (s', s).
+    """
+    adj: dict[int, list] = {}
+    for i, si, j, sj in rows:  # CLAUSE_TYPES index of the edge, from each end
+        ti, tj = 2 * (si < 0) + (sj < 0), 2 * (sj < 0) + (si < 0)
+        adj.setdefault(i, []).append((j, ti, tj))
+        adj.setdefault(j, []).append((i, tj, ti))
+    # node k: its variable, its parent's index, the clause type above it with
+    # the parent's sign first and with its own; generation g is the nodes
+    # ends[g]:ends[g + 1]
+    nodes, parent, down, up = [root], [0], [0], [0]
+    ends = [0, 1]
+    for k, u in enumerate(nodes):  # breadth first: the loop sees each appended node
+        if k == ends[-1]:
+            ends.append(len(nodes))
+        p = nodes[parent[k]]  # the root's own variable is no neighbour of it
+        for w, t, r in adj[u]:
+            if w != p:
+                nodes.append(w)
+                parent.append(k)
+                down.append(t)
+                up.append(r)
+    prods = [[1] * len(nodes) for _ in range(4)]
+    lifted = [None] * len(nodes)  # each node's pair within its own subtree
+    gens = list(zip(ends[1:], ends[2:]))
+    for lo, hi in reversed(gens):
+        lifted[lo:hi] = pairs = product_pairs([c[lo:hi] for c in prods])
+        fold_factors(prods, parent[lo:hi], down[lo:hi], pairs)
+    n_plus, d_plus, n_minus, d_minus = prods
+    for lo, hi in gens:
+        rest = []
+        for p, t, (a, b) in zip(parent[lo:hi], down[lo:hi], lifted[lo:hi]):
+            f = b - a if t & 1 else a
+            if t < 2:
+                x = n_plus[p] * (d_minus[p] // b)
+                y = x + n_minus[p] // f * d_plus[p]
+            else:
+                x = n_plus[p] // f * d_minus[p]
+                y = x + n_minus[p] * (d_plus[p] // b)
+            g = gcd(x, y)
+            rest.append((x // g, y // g))
+        fold_factors(prods, range(lo, hi), up[lo:hi], rest)
+    return dict(zip(nodes, product_pairs(prods)))
 
 
 def _spread(scope: tuple, into: tuple) -> list[int]:
@@ -251,12 +309,16 @@ def _component_counts(nb: dict[int, set], rows: list, width_cap: int) -> tuple[i
 
 
 def exact_marginals(
-    f: Formula, component_cap: int = COMPONENT_CAP, width_cap: int = _ELIM_WIDTH_CAP
+    f: Formula, component_cap: int = COMPONENT_CAP, width_cap: int = _ELIM_WIDTH_CAP,
+    eliminate_trees: bool = False,
 ) -> dict[int, Fraction] | None:
     """Exact marginal P(x = +1) for every variable, or None if unsatisfiable.
 
     Decomposes the factor graph into connected components and counts each
     component exactly; variables in no clause get marginal 1/2 outright.
+    Tree components take `_tree_pairs` (a single clause its closed form),
+    the rest elimination within `width_cap`; eliminate_trees sends trees
+    through elimination too.
     """
     out = dict.fromkeys(range(1, f.n + 1), Fraction(1, 2))
     nb: dict[int, set] = {}
@@ -266,7 +328,7 @@ def exact_marginals(
         nb.setdefault(i, set()).add(j)
         nb.setdefault(j, set()).add(i)
         rows_at.setdefault(i, []).append(row)
-    shared: dict[Fraction, Fraction] = {}  # equal marginals share one Fraction
+    shared: dict[tuple[int, int], Fraction] = {}  # one Fraction per reduced pair
     seen: set[int] = set()
     for v in sorted(nb):  # components in order of their smallest variable
         if v in seen:
@@ -280,13 +342,21 @@ def exact_marginals(
             raise ResourceLimitError(f"component with {len(members)} variables "
                                      f"exceeds cap {component_cap}")
         rows = [row for u in members for row in rows_at.get(u, ())]
-        # the kernel consumes the neighbour sets, which no later component reads
-        z, plus = _component_counts({u: nb[u] for u in members}, rows, width_cap)
-        if z == 0:
-            return None
-        for u, c in plus.items():
-            q = Fraction(c, z)
-            out[u] = shared.setdefault(q, q)
+        if eliminate_trees or len(rows) >= len(members):  # a cycle, or told to
+            # the kernel consumes the neighbour sets, which no later component reads
+            z, plus = _component_counts({u: nb[u] for u in members}, rows, width_cap)
+            if z == 0:
+                return None
+            pairs = {u: (c // (g := gcd(c, z)), z // g) for u, c in plus.items()}
+        elif len(rows) == 1:  # 3 solutions, 2 of them with a given literal true
+            (i, si, j, sj), = rows
+            pairs = {i: (1 + (si > 0), 3), j: (1 + (sj > 0), 3)}
+        else:
+            pairs = _tree_pairs(v, rows)
+        for u, ab in pairs.items():
+            if ab not in shared:
+                shared[ab] = Fraction(*ab)
+            out[u] = shared[ab]
     return out
 
 

@@ -18,10 +18,11 @@ case `extinct_marginal_samples`) never build node objects: each chunk grows
 its whole forest one generation at a time as flat parent/clause-type arrays,
 with a live mark per node under survival conditioning, cut at a depth
 limit, then folds the generations bottom-up into reduced integer pairs with
-`treebp.bp_pair`. The same arrays give the text form of every tree. A tree
-with more than node_cap nodes leaves the frontier as soon as it passes the
-cap and comes back as None; tree sizes are tracked only once the chunk's
-node total passes the cap, so until then a generation costs just its draws.
+`treebp.fold_factors`, the upward step of `formula`'s tree kernel too. The
+same arrays give the text form of every tree. A tree with more than
+node_cap nodes leaves the frontier as soon as it passes the cap and comes
+back as None; tree sizes are tracked only once the chunk's node total
+passes the cap, so until then a generation costs just its draws.
 
 The float theta recursions (`coupled_increment_stats`,
 `survival_theta_population`) draw their Poisson packs Poissonized
@@ -46,7 +47,7 @@ import numpy as np
 
 from .densityev import (clause_table, poisson_owners, resample_log_terms, split_packs,
                         zero_truncated_owners)
-from .treebp import CLAUSE_TYPES, EDGE_TEXT, TreeFormula, bp_pair, fold
+from .treebp import CLAUSE_TYPES, EDGE_TEXT, TreeFormula, fold, fold_factors, product_pairs
 from .util import chunk_sizes, parallel_map, subseed, substream
 
 _NODE_CAP = 20_000_000
@@ -332,16 +333,16 @@ def _forest_texts(levels, marks, count: int) -> list[str]:
 def _forest_root_pairs(levels, count: int) -> list[tuple[int, int]]:
     """Exact root marginal (a, b) of each of `count` trees of a sampled forest.
 
-    Folds the generations bottom-up with `bp_pair`; a node without children
-    is (1, 2). Consumes `levels`, freeing each generation once folded.
+    Folds the generations bottom-up with `treebp.fold_factors`; a node without
+    children is (1, 2). Consumes `levels`, freeing each generation once folded.
     """
     vals = [(1, 2)] * (len(levels[-1][0]) if levels else count)
     while levels:
         parent, types = levels.pop()
         n_up = len(levels[-1][0]) if levels else count
-        below = zip(map(CLAUSE_TYPES.__getitem__, types.tolist()), vals)
-        vals = [bp_pair(islice(below, k))
-                for k in np.bincount(parent, minlength=n_up).tolist()]
+        prods = [[1] * n_up for _ in range(4)]
+        fold_factors(prods, parent.tolist(), types.tolist(), vals)
+        vals = product_pairs(prods)
     return vals
 
 

@@ -73,6 +73,34 @@ def bp_pair(entries) -> tuple[int, int]:
     return x // g, y // g
 
 
+def fold_factors(prods, targets, types, pairs) -> None:
+    """Multiply clause factors into node products in place, by `bp_pair`'s rule.
+
+    prods holds four lists, N+, D+, N- and D- by node. The marginal
+    pairs[k] = (a, b) of a neighbour enters node targets[k] through clause
+    CLAUSE_TYPES[types[k]], whose first sign is the target's.
+    """
+    n_plus, d_plus, n_minus, d_minus = prods
+    for v, t, (a, b) in zip(targets, types, pairs):
+        if t < 2:  # (+, s'): the factor weighs v = -1
+            n_minus[v] *= b - a if t else a
+            d_minus[v] *= b
+        else:
+            n_plus[v] *= b - a if t == 3 else a
+            d_plus[v] *= b
+
+
+def product_pairs(prods) -> list[tuple[int, int]]:
+    """Reduced marginal pair N+D- / (N+D- + N-D+) of every node of `prods`."""
+    out = []
+    for n_plus, d_plus, n_minus, d_minus in zip(*prods):
+        x = n_plus * d_minus
+        y = x + n_minus * d_plus
+        g = gcd(x, y)
+        out.append((x // g, y // g))
+    return out
+
+
 def fold(root, combine):
     """Value of `root` under a memoised post-order fold; works on any node
     with `.children`.

@@ -303,6 +303,77 @@ def test_marginals_match_oracle_on_gate_formulas():
     assert exact_marginals(f) == oracle_marginals(f)
 
 
+def _tree_edges(shape: str, size: int, attach) -> list[tuple[int, int]]:
+    """(parent, child) node pairs of a tree on nodes 0..size-1, node 0 the root."""
+    if shape == "star":
+        return [(0, k) for k in range(1, size)]
+    if shape == "path":
+        return [(k - 1, k) for k in range(1, size)]
+    return [(attach(k), k) for k in range(1, size)]  # uniform attachment
+
+
+@st.composite
+def forest_formulas(draw, max_vars=16):
+    """A formula whose components are all trees: stars, paths, single clauses
+    and random trees with mixed signs, on shuffled variables, some left free."""
+    n = draw(st.integers(2, max_vars), label="n")
+    perm = draw(st.permutations(range(1, n + 1)), label="variables")
+    clauses, used = [], 0
+    while n - used >= 2 and draw(st.booleans(), label="another tree"):
+        size = draw(st.integers(2, n - used), label="size")
+        shape = draw(st.sampled_from(["star", "path", "random"]), label="shape")
+        edges = _tree_edges(shape, size, lambda k: draw(st.integers(0, k - 1)))
+        for p, c in edges:
+            s, sp = draw(st.tuples(st.sampled_from([-1, 1]), st.sampled_from([-1, 1])))
+            clauses.append([perm[used + p], s, perm[used + c], sp])
+        used += size
+    return Formula(n=n, clauses=np.array(clauses, dtype=np.int64).reshape(-1, 4))
+
+
+@settings(max_examples=300, deadline=None)
+@given(forest_formulas())
+def test_tree_kernel_matches_elimination_and_enumeration(f):
+    marg = exact_marginals(f)
+    assert marg == exact_marginals(f, eliminate_trees=True)
+    stats = count_solutions(f)
+    assert marg == {v: stats.marginal(v) for v in range(1, f.n + 1)}
+    assert all(0 < q < 1 for q in marg.values())
+
+
+def test_tree_kernel_past_the_recursion_limit():
+    # 3,000 variables on a path, signs mixed, root at variable 1
+    n = 3000
+    rng = np.random.default_rng(3)
+    signs = rng.choice([-1, 1], size=(n - 1, 2)).tolist()
+    f = Formula(n=n, clauses=[[k, si, k + 1, sj] for k, (si, sj) in enumerate(signs, 1)])
+    marg = exact_marginals(f, component_cap=n)
+    assert marg == exact_marginals(f, component_cap=n, eliminate_trees=True)
+    assert len(str(marg[n // 2].denominator)) > 100
+
+
+def test_only_cyclic_components_reach_elimination(monkeypatch):
+    import twosatlab.formula as formula
+
+    seen = []
+    kernel = formula._component_counts
+
+    def counting(nb, rows, width_cap):
+        seen.append(sorted(nb))
+        return kernel(nb, rows, width_cap)
+
+    monkeypatch.setattr(formula, "_component_counts", counting)
+    forest = Formula(n=9, clauses=[[1, 1, 2, -1], [3, -1, 4, 1], [4, 1, 5, 1],
+                                   [4, -1, 6, -1], [8, 1, 7, 1]])
+    assert exact_marginals(forest) == exact_marginals(forest, eliminate_trees=True)
+    assert seen == [[1, 2], [3, 4, 5, 6], [7, 8]]  # only the eliminate_trees call
+    seen.clear()
+    # the same forest with a 2-cycle on variables 9 and 10
+    f = Formula(n=10, clauses=[*forest.clauses.tolist(), [9, 1, 10, 1], [10, -1, 9, 1]])
+    marg = exact_marginals(f)
+    assert (marg[9], marg[10]) == (1, Fraction(1, 2))  # x9 is forced
+    assert seen == [[9, 10]]
+
+
 def test_marginals_forced_variable_on_a_two_cycle():
     # x1 is forced true, so messages hold zeros while Z > 0
     f = Formula(n=3, clauses=[[1, 1, 2, 1], [1, 1, 2, -1], [2, 1, 3, 1]])
@@ -318,12 +389,13 @@ def test_width_cap_error():
 
 
 def test_table_cell_budget_error():
-    # a 5-variable path: no bucket is wider than 2, but its tables hold 18
-    # cells, over the budget 2^(3+1) that a width cap of 3 allows
-    path = Formula(n=5, clauses=[[i, 1, i + 1, 1] for i in range(1, 5)])
+    # a triangle with a one-clause tail: no bucket is wider than 3, but its
+    # tables hold 4 + 8 + 4 + 2 = 18 cells, over the budget 2^(3+1) that a
+    # width cap of 3 allows (a tree component builds no tables at all)
+    tailed = Formula(n=4, clauses=[[1, 1, 2, 1], [2, 1, 3, 1], [1, -1, 3, 1], [3, 1, 4, 1]])
     with pytest.raises(ResourceLimitError, match="18 cells exceed budget 16"):
-        exact_marginals(path, width_cap=3)
-    assert exact_marginals(path, width_cap=4) == oracle_marginals(path)
+        exact_marginals(tailed, width_cap=3)
+    assert exact_marginals(tailed, width_cap=4) == oracle_marginals(tailed)
 
 
 def test_component_cap_error():
