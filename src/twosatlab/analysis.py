@@ -73,10 +73,7 @@ class AtomReport:
     exact: bool
 
     def mass_at(self, value: Fraction) -> float:
-        for a in self.atoms:
-            if a.value == value:
-                return a.mass
-        return 0.0
+        return self.count_at(value) / self.total_samples
 
     def count_at(self, value: Fraction) -> int:
         for a in self.atoms:
@@ -85,15 +82,14 @@ class AtomReport:
         return 0
 
     def as_dict(self):
-        return {
-            "atoms": [a.as_dict() for a in self.atoms],
-            "residual_mass": self.residual_mass,
-            "total_samples": self.total_samples,
-            "window": self.window,
-            "max_den": self.max_den,
-            "min_count": self.min_count,
-            "exact": self.exact,
-        }
+        return {**vars(self), "atoms": [a.as_dict() for a in self.atoms]}
+
+
+def _check_window(window: float, max_den: int) -> None:
+    if not 0 < window < math.inf:  # NaN fails too
+        raise ValueError(f"window must be positive and finite, got {window}")
+    if max_den < 2:
+        raise ValueError("max_den must be >= 2")
 
 
 def detect_atoms(
@@ -107,10 +103,7 @@ def detect_atoms(
     fraction with denominator <= max_den; clusters that are too small or
     do not snap within the window land in residual_mass.
     """
-    if not 0 < window < math.inf:  # NaN fails too
-        raise ValueError(f"window must be positive and finite, got {window}")
-    if max_den < 2:
-        raise ValueError("max_den must be >= 2")
+    _check_window(window, max_den)
     if isinstance(samples, Population):
         if samples.kind is not Kind.MU:
             raise ValueError("detect_atoms expects MU samples")
@@ -176,15 +169,7 @@ class MixtureReport:
     oversize_discarded: int = 0
 
     def as_dict(self):
-        return {
-            "d": self.d,
-            "eta": self.eta,
-            "depth": self.depth,
-            "discrete_atoms": self.discrete_atoms.as_dict(),
-            "continuous_summary": self.continuous_summary,
-            "boundary_hits": self.boundary_hits,
-            "oversize_discarded": self.oversize_discarded,
-        }
+        return {**vars(self), "discrete_atoms": self.discrete_atoms.as_dict()}
 
 
 def mixture_decomposition(
@@ -207,6 +192,9 @@ def mixture_decomposition(
     depth L (weight 1-eta), summarized by a histogram, the largest cluster
     mass, bin coverage, and the depth-L-to-(L+2) drift of the truncation.
     """
+    _check_window(window, max_den)  # every flag before the first draw
+    if L < 1:
+        raise ValueError(f"L must be >= 1, got {L}")
     info = extinction_probability(d)
     raw = extinct_marginal_samples(
         d, n_discrete, seed=subseed(seed, 0x90),

@@ -10,6 +10,7 @@ the tree and branching-process machinery.
 from __future__ import annotations
 
 import heapq
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -72,8 +73,8 @@ def generate_formula(n: int, d: float, seed: int) -> Formula:
     """Draw a formula from the Poisson(d*n/2)-clause uniform ensemble."""
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
-    if d <= 0:
-        raise ValueError(f"need d > 0, got {d}")
+    if not 0 < d * n / 2 <= 1e18:  # NaN fails too; numpy's Poisson draw stops near 9.2e18
+        raise ValueError(f"need d > 0 and at most 1e18 expected clauses d*n/2, got d={d}")
     rng = substream(seed, 0xF0)
     m = int(rng.poisson(d * n / 2.0))
     i = rng.integers(1, n + 1, size=m)
@@ -164,11 +165,14 @@ def is_satisfiable(f: Formula) -> bool:
     return bool(np.all(labels[0::2] != labels[1::2]))
 
 
-# -- exact marginals: two two-pass kernels, one per kind of component ---------
+# -- exact marginals: one walk, then two two-pass kernels -------------------
 #
-# A single clause has a closed form. Any other tree component (one clause
-# fewer than variables) runs integer belief propagation on reduced (a, b)
-# pairs, `_tree_pairs`. Every other component runs one min-degree variable
+# One breadth-first walk finds the components in order of their smallest
+# variable. A single clause has a closed form. Any other tree component (one
+# clause fewer than variables) leaves its nodes in generation lists shared by
+# all trees, and one integer belief propagation on reduced (a, b) pairs,
+# `_forest_pairs`, runs over all of them after the walk. A component with a
+# cycle is cut back off those lists at once and runs one min-degree variable
 # elimination (forward pass), which yields the count Z, and one calibration
 # of its bucket tree (backward pass), which yields every variable's counts.
 # A bucket over w variables is a list of 2^w Python ints; w above
@@ -179,46 +183,29 @@ def is_satisfiable(f: Formula) -> bool:
 # enumeration oracle.
 
 
-def _tree_pairs(root: int, rows: list) -> dict[int, tuple[int, int]]:
-    """Reduced marginal pair (a, b) of every variable of a tree component.
+def _forest_pairs(gens: list) -> dict[int, tuple[int, int]]:
+    """Reduced marginal pair (a, b) of every node of a breadth-first forest.
 
-    Integer belief propagation over the breadth-first generations from
-    `root`. The upward pass folds each generation into its parents'
-    products (`treebp.fold_factors`). The downward pass divides a child's
-    own factor out of its parent's products: exactly, since every tree
-    marginal a/b has 0 < a < b. The reduced rest reaches the child through
-    the reversed clause type (s', s).
+    gens[g] holds the depth-g nodes of every tree, each as (variable, its
+    parent's index in gens[g - 1], the clause type above it with the
+    parent's sign first, the same with its own sign first). The upward pass
+    folds each generation into its parents' products
+    (`treebp.fold_factors`). The downward pass divides a child's own factor
+    out of its parent's products: exactly, since every tree marginal a/b
+    has 0 < a < b. The reduced rest reaches the child through the reversed
+    clause type (s', s).
     """
-    adj: dict[int, list] = {}
-    for i, si, j, sj in rows:  # CLAUSE_TYPES index of the edge, from each end
-        ti, tj = 2 * (si < 0) + (sj < 0), 2 * (sj < 0) + (si < 0)
-        adj.setdefault(i, []).append((j, ti, tj))
-        adj.setdefault(j, []).append((i, tj, ti))
-    # node k: its variable, its parent's index, the clause type above it with
-    # the parent's sign first and with its own; generation g is the nodes
-    # ends[g]:ends[g + 1]
-    nodes, parent, down, up = [root], [0], [0], [0]
-    ends = [0, 1]
-    for k, u in enumerate(nodes):  # breadth first: the loop sees each appended node
-        if k == ends[-1]:
-            ends.append(len(nodes))
-        p = nodes[parent[k]]  # the root's own variable is no neighbour of it
-        for w, t, r in adj[u]:
-            if w != p:
-                nodes.append(w)
-                parent.append(k)
-                down.append(t)
-                up.append(r)
-    prods = [[1] * len(nodes) for _ in range(4)]
-    lifted = [None] * len(nodes)  # each node's pair within its own subtree
-    gens = list(zip(ends[1:], ends[2:]))
-    for lo, hi in reversed(gens):
-        lifted[lo:hi] = pairs = product_pairs([c[lo:hi] for c in prods])
-        fold_factors(prods, parent[lo:hi], down[lo:hi], pairs)
-    n_plus, d_plus, n_minus, d_minus = prods
-    for lo, hi in gens:
+    levels = [tuple(zip(*gen)) for gen in gens if gen]  # only trailing ones are empty
+    prods = [[[1] * len(level[0]) for _ in range(4)] for level in levels]
+    lifted = [None] * len(levels)  # each node's pair within its own subtree
+    for g in range(len(levels) - 1, 0, -1):
+        lifted[g] = product_pairs(prods[g])
+        fold_factors(prods[g - 1], levels[g][1], levels[g][2], lifted[g])
+    for g in range(1, len(levels)):
+        _, parent, down, up = levels[g]
+        n_plus, d_plus, n_minus, d_minus = prods[g - 1]
         rest = []
-        for p, t, (a, b) in zip(parent[lo:hi], down[lo:hi], lifted[lo:hi]):
+        for p, t, (a, b) in zip(parent, down, lifted[g]):
             f = b - a if t & 1 else a
             if t < 2:
                 x = n_plus[p] * (d_minus[p] // b)
@@ -226,10 +213,11 @@ def _tree_pairs(root: int, rows: list) -> dict[int, tuple[int, int]]:
             else:
                 x = n_plus[p] // f * d_minus[p]
                 y = x + n_minus[p] * (d_plus[p] // b)
-            g = gcd(x, y)
-            rest.append((x // g, y // g))
-        fold_factors(prods, range(lo, hi), up[lo:hi], rest)
-    return dict(zip(nodes, product_pairs(prods)))
+            r = gcd(x, y)
+            rest.append((x // r, y // r))
+        fold_factors(prods[g], range(len(rest)), up, rest)
+    return {u: ab for level, prod in zip(levels, prods)
+            for u, ab in zip(level[0], product_pairs(prod))}
 
 
 def _spread(scope: tuple, into: tuple) -> list[int]:
@@ -316,47 +304,67 @@ def exact_marginals(
 
     Decomposes the factor graph into connected components and counts each
     component exactly; variables in no clause get marginal 1/2 outright.
-    Tree components take `_tree_pairs` (a single clause its closed form),
-    the rest elimination within `width_cap`; eliminate_trees sends trees
-    through elimination too.
+    Tree components take `_forest_pairs` together (a single clause its
+    closed form), the rest elimination within `width_cap`; eliminate_trees
+    sends trees through elimination too.
     """
-    out = dict.fromkeys(range(1, f.n + 1), Fraction(1, 2))
-    nb: dict[int, set] = {}
-    rows_at: dict[int, list] = {}
-    for row in f.clauses.tolist():
-        i, _, j, _ = row
-        nb.setdefault(i, set()).add(j)
-        nb.setdefault(j, set()).add(i)
-        rows_at.setdefault(i, []).append(row)
-    shared: dict[tuple[int, int], Fraction] = {}  # one Fraction per reduced pair
-    seen: set[int] = set()
-    for v in sorted(nb):  # components in order of their smallest variable
-        if v in seen:
+    adj: list[list] = [[] for _ in range(f.n + 1)]
+    for row in f.clauses.tolist():  # on both ends, with its CLAUSE_TYPES index from each
+        i, si, j, sj = row
+        ti, tj = 2 * (si < 0) + (sj < 0), 2 * (sj < 0) + (si < 0)
+        adj[i].append((j, ti, tj, row))
+        adj[j].append((i, tj, ti, row))
+    seen = [False] * (f.n + 1)
+    gens: defaultdict[int, list] = defaultdict(list)  # tree nodes by depth, for `_forest_pairs`
+    pairs: dict[int, tuple[int, int]] = {}
+    for v in range(1, f.n + 1):  # components in order of their smallest variable
+        if seen[v] or not adj[v]:
             continue
-        members = [v]
-        seen.add(v)
-        for u in members:
-            members += nb[u] - seen
-            seen |= nb[u]
-        if len(members) > component_cap:
-            raise ResourceLimitError(f"component with {len(members)} variables "
+        seen[v] = True
+        if not eliminate_trees and len(adj[v]) == 1 == len(adj[adj[v][0][0]]):
+            (w, _, _, (i, si, j, sj)), = adj[v]
+            seen[w] = True
+            size, tail = 2, None
+        else:  # breadth first; the component starts at tail[g] in gens[g]
+            tail, size, entries = [len(gens[0])], 1, 0
+            gens[0].append((v, 0, 0, 0))
+            for g, lo in enumerate(tail):  # the loop sees each start it appends
+                here, below = gens[g], gens[g + 1]
+                hi = len(below)
+                for k in range(lo, len(here)):
+                    u = here[k][0]
+                    entries += len(adj[u])
+                    for w, t, r, _ in adj[u]:
+                        if not seen[w]:
+                            seen[w] = True
+                            below.append((w, k, t, r))
+                if len(below) > hi:
+                    tail.append(hi)
+                    size += len(below) - hi
+        if size > component_cap:
+            raise ResourceLimitError(f"component with {size} variables "
                                      f"exceeds cap {component_cap}")
-        rows = [row for u in members for row in rows_at.get(u, ())]
-        if eliminate_trees or len(rows) >= len(members):  # a cycle, or told to
-            # the kernel consumes the neighbour sets, which no later component reads
-            z, plus = _component_counts({u: nb[u] for u in members}, rows, width_cap)
+        if tail is None:  # 3 solutions, 2 of them with a given literal true
+            pairs[i], pairs[j] = (1 + (si > 0), 3), (1 + (sj > 0), 3)
+        elif eliminate_trees or entries >= 2 * size:  # clauses >= variables: a cycle
+            members = [e[0] for g, lo in enumerate(tail) for e in gens[g][lo:]]
+            for g, lo in enumerate(tail):
+                del gens[g][lo:]  # the walk appended this component last
+            nb, rows = {}, []  # each row once, from its smaller variable
+            for u in members:
+                nb[u] = others = set()
+                for w, _, _, row in adj[u]:
+                    others.add(w)
+                    if w > u:
+                        rows.append(row)
+            z, plus = _component_counts(nb, rows, width_cap)
             if z == 0:
                 return None
-            pairs = {u: (c // (g := gcd(c, z)), z // g) for u, c in plus.items()}
-        elif len(rows) == 1:  # 3 solutions, 2 of them with a given literal true
-            (i, si, j, sj), = rows
-            pairs = {i: (1 + (si > 0), 3), j: (1 + (sj > 0), 3)}
-        else:
-            pairs = _tree_pairs(v, rows)
-        for u, ab in pairs.items():
-            if ab not in shared:
-                shared[ab] = Fraction(*ab)
-            out[u] = shared[ab]
+            pairs.update((u, (c // (h := gcd(c, z)), z // h)) for u, c in plus.items())
+    pairs.update(_forest_pairs(list(gens.values())))
+    shared = {ab: Fraction(*ab) for ab in set(pairs.values())}  # one Fraction per pair
+    out = dict.fromkeys(range(1, f.n + 1), Fraction(1, 2))
+    out.update((u, shared[ab]) for u, ab in pairs.items())
     return out
 
 

@@ -127,6 +127,9 @@ def test_tree_bp_empty_tree_exits_invalid(capsys):
     ["atoms", "--in", "mu.pop", "--weight", "inf"],
     ["mixture", "--d", "0.8", "--n-discrete", "50", "--seed", "1", "--window", "inf"],
     ["density-evolution", "--d", "1.5", "--size", "200", "--seed", "1", "--tol", "inf"],
+    ["gen", "--n", "60", "--seed", "1", "--d", "nan"],
+    ["gen", "--n", "60", "--seed", "1", "--d", "inf"],
+    ["gen", "--n", "60", "--seed", "1", "--d", "1e308"],
 ], ids=lambda argv: " ".join([argv[0], *argv[-2:]]))
 def test_nonsense_numeric_flags_exit_invalid(argv, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
@@ -140,6 +143,32 @@ def test_nonsense_numeric_flags_exit_invalid(argv, tmp_path, monkeypatch, capsys
     messages = [line for line in err.splitlines()
                 if line.startswith("invalid arguments:") or ": error: argument" in line]
     assert len(messages) == 1
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--window", "inf", "window must be positive and finite, got inf"),
+    ("--max-den", "1", "max_den must be >= 2"),
+    ("--depth", "-1", "L must be >= 1, got -1"),
+])
+def test_mixture_checks_flags_before_drawing(flag, value, message, monkeypatch, capsys):
+    # below d = 1 the depth is never used, and the draw comes first
+    import twosatlab.analysis as analysis
+
+    def no_draw(*args, **kwargs):
+        raise AssertionError("drew trees before checking the flags")
+
+    monkeypatch.setattr(analysis, "extinct_marginal_samples", no_draw)
+    assert main(["mixture", "--d", "0.8", "--seed", "1", flag, value]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"invalid arguments: {message}\n"
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "1e308"])
+def test_generator_names_the_density(value, capsys):
+    # in the package's words, not numpy's ("lam value too large")
+    assert main(["gen", "--n", "60", "--seed", "1", "--d", value]) == 2
+    assert capsys.readouterr().err == ("invalid arguments: need d > 0 and at most 1e18 "
+                                       f"expected clauses d*n/2, got d={float(value)}\n")
 
 
 @pytest.mark.parametrize("argv", [

@@ -3,6 +3,7 @@
 import io
 import math
 from fractions import Fraction
+from itertools import cycle
 
 import numpy as np
 import pytest
@@ -372,6 +373,74 @@ def test_only_cyclic_components_reach_elimination(monkeypatch):
     marg = exact_marginals(f)
     assert (marg[9], marg[10]) == (1, Fraction(1, 2))  # x9 is forced
     assert seen == [[9, 10]]
+
+
+def _path(first: int, last: int, signs: list) -> list[list[int]]:
+    """Clauses chaining first..last, cycling through the given sign pairs."""
+    return [[v, si, v + 1, sj] for v, (si, sj) in zip(range(first, last), cycle(signs))]
+
+
+def _against_both_oracles(f: Formula):
+    marg = exact_marginals(f)
+    stats = count_solutions(f)
+    assert marg == (None if stats.count == 0 else
+                    {v: stats.marginal(v) for v in range(1, f.n + 1)})
+    assert marg == exact_marginals(f, eliminate_trees=True)
+    return marg
+
+
+def test_layered_pass_around_cut_back_cycles():
+    # a star (a tree); then a path of depth 6 that a 2-cycle at its far end
+    # makes cyclic, so the walk cuts 7 generations back off the shared lists;
+    # then a deeper path and a single clause, both trees, and a free variable
+    signs = [(1, -1), (-1, -1), (1, 1), (-1, 1)]
+    clauses = [[1, 1, 2, -1], [1, -1, 3, 1], *_path(4, 10, signs), [9, 1, 10, 1],
+               *_path(11, 18, signs[::-1]), [19, -1, 20, 1]]
+    marg = _against_both_oracles(Formula(n=21, clauses=clauses))
+    assert marg[21] == Fraction(1, 2)
+    # the variables renumbered in reverse: the walk meets the cycle first
+    rev = Formula(n=21, clauses=[[22 - i, si, 22 - j, sj] for i, si, j, sj in clauses])
+    assert _against_both_oracles(rev) == {22 - v: q for v, q in marg.items()}
+
+
+def test_layered_pass_unsat_cycle_after_deep_trees():
+    # two deep paths, then every clause on the pair (14, 15): no solution
+    clauses = [*_path(1, 7, [(1, -1), (-1, 1)]), *_path(8, 13, [(1, 1)]),
+               [14, 1, 15, 1], [14, 1, 15, -1], [14, -1, 15, 1], [14, -1, 15, -1]]
+    assert _against_both_oracles(Formula(n=16, clauses=clauses)) is None
+
+
+@pytest.mark.parametrize("clauses, cap, message", [
+    ([[1, 1, 2, -1]], 1, "component with 2 variables exceeds cap 1"),
+    ([[1, 1, 2, -1], [2, 1, 3, 1]], 1, "component with 3 variables exceeds cap 1"),
+    ([[1, 1, 2, -1], [2, 1, 3, 1]], 2, "component with 3 variables exceeds cap 2"),
+    # a single clause within cap 2, then a path over it
+    ([[1, 1, 2, 1], [3, 1, 4, -1], [4, 1, 5, 1]], 2, "component with 3 variables exceeds cap 2"),
+    # a cyclic component over the cap raises before a later, larger tree
+    ([[1, 1, 2, 1], [2, 1, 3, 1], [1, -1, 3, 1], *_path(4, 7, [(1, -1)])], 2,
+     "component with 3 variables exceeds cap 2"),
+])
+def test_layered_pass_component_cap(clauses, cap, message):
+    f = Formula(n=8, clauses=clauses)
+    with pytest.raises(ResourceLimitError) as exc:
+        exact_marginals(f, component_cap=cap)
+    assert str(exc.value) == message
+    assert outcome(oracle_marginals, f, component_cap=cap) == ("limit", "component")
+
+
+def test_layered_pass_width_cap_on_a_cycle_after_trees():
+    # trees first, then a triangle of width 3; and a later over-cap tree
+    # never comes into it, since the triangle raises first
+    trees = [[1, 1, 2, -1], *_path(3, 7, [(1, 1), (-1, 1)])]
+    triangle = [[8, 1, 9, 1], [9, 1, 10, 1], [8, -1, 10, 1]]
+    f = Formula(n=16, clauses=[*trees, *triangle, *_path(11, 16, [(1, -1)])])
+    with pytest.raises(ResourceLimitError) as exc:
+        exact_marginals(f, width_cap=2, component_cap=5)
+    assert str(exc.value) == "elimination width 3 exceeds cap 2"
+    with pytest.raises(ResourceLimitError) as exc:
+        exact_marginals(f, width_cap=3, component_cap=5)
+    assert str(exc.value) == "component with 6 variables exceeds cap 5"
+    assert exact_marginals(f, width_cap=3) == oracle_marginals(f)
 
 
 def test_marginals_forced_variable_on_a_two_cycle():

@@ -2,9 +2,11 @@
 
 import ast
 import hashlib
+import json
 from pathlib import Path
 
 import twosatlab
+from twosatlab.formula import exact_marginals, generate_formula, marginals_to_json
 from twosatlab.gwsim import extinct_marginal_samples, tree_marginal_samples
 
 SRC = Path(twosatlab.__file__).parent
@@ -74,3 +76,17 @@ def test_sampler_streams_are_pinned():
              for cond, depth in (("none", 5), ("survive", 6))}
     assert dumps == {"none": ("9ddacbaec69b81b7", "f2ed3480d685ce60"),
                      "survive": ("7d0abd3784254007", "c5bd8eae551cb117")}
+
+
+def test_exact_marginals_are_pinned():
+    # the marginals JSON of sparse, cyclic and near-threshold formulas: exact
+    # outputs never change, whatever kernel computes them
+    digests = {(n, d, seed): _digest([json.dumps(marginals_to_json(
+        n, exact_marginals(generate_formula(n, d, seed))))])
+        for n, d in ((3000, 0.8), (400, 1.5), (200, 1.2)) for seed in (1, 2, 3)}
+    assert digests == {
+        (3000, 0.8, 1): "6e5b4ba52c664453", (3000, 0.8, 2): "9e23e6fbafba1efe",
+        (3000, 0.8, 3): "75883c33da6383d2", (400, 1.5, 1): "f57d6fd18757f379",
+        (400, 1.5, 2): "3bebe15f281afc37", (400, 1.5, 3): "252b9c7dd06bb088",
+        (200, 1.2, 1): "1f840826852da3ec", (200, 1.2, 2): "b696d51e1e1a814b",
+        (200, 1.2, 3): "939791a1540341f7"}
