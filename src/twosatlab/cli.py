@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 
 from . import treebp
@@ -388,10 +389,16 @@ def main(argv=None) -> int:
             import secrets
 
             args.seed = secrets.randbits(48)
+        elif getattr(args, "seed", 0) < 0:  # numpy's own message names no flag
+            raise ValueError(f"--seed must be at least 0, got {args.seed}")
         cfg = {"subcommand": args.subcommand, "seed": getattr(args, "seed", None),
                "params": {k: v for k, v in vars(args).items() if k not in _NOT_PARAMS}}
         if args.workers is None:
             args.workers = default_workers()
+        for dest in ("out", "dump_trees", "emit_trace", "hist"):  # an exit 2 writes nothing
+            path = getattr(args, dest, None)
+            if path and (os.path.isdir(path) or not os.path.isdir(os.path.dirname(path) or ".")):
+                raise ValueError(f"cannot write {path!r}: a directory, or in none")
         return args.func(args, cfg) or EXIT_OK
     except (ResourceLimitError, MemoryError) as exc:
         print(f"resource limit: {str(exc) or 'out of memory'}", file=sys.stderr)

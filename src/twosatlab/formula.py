@@ -13,13 +13,14 @@ import heapq
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from math import gcd
 from typing import IO
 
 import numpy as np
 
 from .densityev import Kind, Population
-from .treebp import fold_factors, product_pairs
+from .treebp import fold_factors, fold_up, product_pairs
 from .util import COMPONENT_CAP, ENUM_CAP, ResourceLimitError, substream
 
 _ELIM_WIDTH_CAP = 22
@@ -188,36 +189,37 @@ def _forest_pairs(gens: list) -> dict[int, tuple[int, int]]:
 
     gens[g] holds the depth-g nodes of every tree, each as (variable, its
     parent's index in gens[g - 1], the clause type above it with the
-    parent's sign first, the same with its own sign first). The upward pass
-    folds each generation into its parents' products
-    (`treebp.fold_factors`). The downward pass divides a child's own factor
-    out of its parent's products: exactly, since every tree marginal a/b
-    has 0 < a < b. The reduced rest reaches the child through the reversed
-    clause type (s', s).
+    parent's sign first, the same with its own sign first). The nodes are
+    numbered generation after generation, and the upward pass is one
+    `treebp.fold_up`. The downward pass divides a child's own factor out of
+    its parent's products: exactly, since every tree marginal a/b has
+    0 < a < b. The reduced rest reaches the child through the reversed
+    clause type (s', s) (`treebp.fold_factors`).
     """
     levels = [tuple(zip(*gen)) for gen in gens if gen]  # only trailing ones are empty
-    prods = [[[1] * len(level[0]) for _ in range(4)] for level in levels]
-    lifted = [None] * len(levels)  # each node's pair within its own subtree
-    for g in range(len(levels) - 1, 0, -1):
-        lifted[g] = product_pairs(prods[g])
-        fold_factors(prods[g - 1], levels[g][1], levels[g][2], lifted[g])
-    for g in range(1, len(levels)):
-        _, parent, down, up = levels[g]
-        n_plus, d_plus, n_minus, d_minus = prods[g - 1]
+    if not levels:
+        return {}
+    ends = list(accumulate(len(level[0]) for level in levels))
+    parents = [p + lo for lo, level in zip([0, *ends], levels[1:]) for p in level[1]]
+    downs = [t for level in levels[1:] for t in level[2]]
+    prods = [[1] * ends[-1], [1] * ends[-1]]
+    fold_up(prods, parents, downs, ends[0])
+    p_prod, q_prod = prods
+    for lo, hi, level in zip(ends, ends[1:], levels[1:]):
         rest = []
-        for p, t, (a, b) in zip(parent, down, lifted[g]):
+        lifted = product_pairs([p_prod[lo:hi], q_prod[lo:hi]])  # each pair within its subtree
+        for p, t, (a, b) in zip(parents[lo - ends[0]:hi - ends[0]], level[2], lifted):
             f = b - a if t & 1 else a
             if t < 2:
-                x = n_plus[p] * (d_minus[p] // b)
-                y = x + n_minus[p] // f * d_plus[p]
+                x = p_prod[p] // b
+                y = x + q_prod[p] // f
             else:
-                x = n_plus[p] // f * d_minus[p]
-                y = x + n_minus[p] * (d_plus[p] // b)
+                x = p_prod[p] // f
+                y = x + q_prod[p] // b
             r = gcd(x, y)
             rest.append((x // r, y // r))
-        fold_factors(prods[g], range(len(rest)), up, rest)
-    return {u: ab for level, prod in zip(levels, prods)
-            for u, ab in zip(level[0], product_pairs(prod))}
+        fold_factors(prods, range(lo, hi), level[3], rest)
+    return dict(zip((u for level in levels for u in level[0]), product_pairs(prods)))
 
 
 def _spread(scope: tuple, into: tuple) -> list[int]:

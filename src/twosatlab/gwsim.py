@@ -13,16 +13,14 @@ conditioned to be at least one, plus an independent Poisson(d*eta) pack of
 dead children. Clause types and signs stay uniform and independent of the
 marks, which only depend on counts.
 
-Exact marginals of sampled trees (`tree_marginal_samples`, and its extinct
-case `extinct_marginal_samples`) never build node objects: each chunk grows
-its whole forest one generation at a time as flat parent/clause-type arrays,
-with a live mark per node under survival conditioning, cut at a depth
-limit, then folds the generations bottom-up into reduced integer pairs with
-`treebp.fold_factors`, the upward step of `formula`'s tree kernel too. The
-same arrays give the text form of every tree. A tree with more than
-node_cap nodes leaves the frontier as soon as it passes the cap and comes
-back as None; tree sizes are tracked only once the chunk's node total
-passes the cap, so until then a generation costs just its draws.
+Sampled trees (`tree_marginal_samples`) are flat arrays, not node objects:
+each chunk draws from one generator, grows its forest a generation at a
+time on one node numbering (parents, live marks under survival
+conditioning, a depth cut), then draws the clause types once. One pass from
+the last node up (`treebp.fold_up`) gives the exact root pairs. A tree over
+node_cap nodes leaves the frontier once past the cap and comes back as
+None; tree sizes are tracked only once the chunk's total passes the cap. A
+depth-cut chunk holds at most _NODE_BUDGET nodes.
 
 The float theta recursions (`coupled_increment_stats`,
 `survival_theta_population`) draw their Poisson packs Poissonized
@@ -41,16 +39,16 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import islice
 
 import numpy as np
 
 from .densityev import (clause_table, poisson_owners, resample_log_terms, split_packs,
                         zero_truncated_owners)
-from .treebp import CLAUSE_TYPES, EDGE_TEXT, TreeFormula, fold, fold_factors, product_pairs
-from .util import chunk_sizes, parallel_map, subseed, substream
+from .treebp import CLAUSE_TYPES, EDGE_TEXT, TreeFormula, fold, fold_up, product_pairs
+from .util import ResourceLimitError, chunk_sizes, parallel_map, subseed, substream
 
 _NODE_CAP = 20_000_000
+_NODE_BUDGET = 1 << 24  # nodes of one chunk of depth-cut trees
 
 
 @dataclass(frozen=True)
@@ -226,136 +224,116 @@ def survival_theta_population(d: float, L: int, size: int, seed: int) -> np.ndar
     return fin_inf[1]
 
 
-# -- level-array forests ---------------------------------------------------------
+# -- flat forests ------------------------------------------------------------------
 
 
 def _grow_forest(rng, count: int, lam: float, node_cap: int, depth: int | None = None,
                  live_lam: float | None = None):
-    """Grow `count` independent trees together, a generation at a time.
+    """Grow `count` independent trees together on one flat node numbering.
 
-    Every node gets a Poisson(lam) pack of children. With live_lam the roots
+    Every node gets a Poisson(lam) pack of children; with live_lam the roots
     are live, and a live node first gets a zero-truncated Poisson(live_lam)
     pack of live children. Growth stops after `depth` generations, or when
-    no node is left (depth None).
-
-    Returns (levels, alive, marks). levels[g-1] = (parent, types) describes
-    variable generation g >= 1: node i hangs below node parent[i] of
-    generation g-1 (the roots are generation 0), through clause type
-    CLAUSE_TYPES[types[i]]. Parents ascend, so siblings are contiguous, live
-    ones first. marks[g-1] flags the live nodes of generation g; marks is
-    None without live_lam. alive[k] is False exactly when tree k has more
-    than node_cap nodes; such a tree leaves the frontier in the generation
-    that takes it over the cap, and `_drop_trees` then removes its nodes
-    below the root, so the pair pass spends no time on them.
+    no node is left; a depth-cut forest raises ResourceLimitError before a
+    generation would take it past _NODE_BUDGET nodes. Returns (parent,
+    types, sizes, alive, live): roots are nodes 0..count-1, generation g has
+    sizes[g] nodes, and node count + j hangs below parent[j] through
+    CLAUSE_TYPES[types[j]]. Parents ascend, so siblings are contiguous, live
+    ones first (live flags them; None without live_lam). alive[k] is False
+    exactly when tree k has more than node_cap nodes; only its root is kept
+    (`_drop_trees`). The types are drawn last, for the kept nodes only.
     """
     live = None if live_lam is None else np.ones(count, dtype=bool)
-    n, total = count, count  # frontier nodes, nodes grown so far
+    parents, marks, sizes = [], [live], [count]
+    start, total = 0, count  # first frontier node, nodes kept so far
     tree = size = None  # frontier trees and tree sizes, kept once total > node_cap
-    levels, marks = [], None if live is None else []
-    while n and (depth is None or len(levels) < depth):
+    while depth is None or len(parents) < depth:
+        n = sizes[-1]
         kids = rng.poisson(lam, size=n)
         if live is not None:
             owners = np.flatnonzero(live)[zero_truncated_owners(rng, live_lam, int(live.sum()))]
             n_live = np.bincount(owners, minlength=n)
             kids += n_live
-        parent = np.arange(n, dtype=np.int32).repeat(kids)
-        if not parent.size:  # no child anywhere; the skipped empty draws take no bits
+        if depth is not None and total + int(kids.sum()) > _NODE_BUDGET:
+            raise ResourceLimitError(f"{count} trees cut at depth {depth} would pass "
+                                     f"the budget of {_NODE_BUDGET} nodes per chunk")
+        parent = np.arange(start, start + n).repeat(kids)
+        if not parent.size:  # no child anywhere
             break
-        types = rng.integers(0, 4, size=parent.size, dtype=np.int8)
         if live is not None:  # the first n_live[p] children of node p are live
-            live = np.arange(parent.size) < (np.cumsum(kids) - kids + n_live)[parent]
-        total += parent.size
-        if total > node_cap:  # before, no tree can be over the cap
+            live = np.arange(parent.size) < (np.cumsum(kids) - kids + n_live)[parent - start]
+        if total + parent.size > node_cap:  # before, no tree can be over the cap
             if tree is None:
-                tree, size = np.arange(count), np.ones(count, dtype=np.int64)
-                for above, _ in levels:
-                    tree = tree[above]
-                    size += np.bincount(tree, minlength=count)
-            tree = tree[parent]
+                tree = np.arange(count)  # the tree of every node so far
+                for above in parents:
+                    tree = np.concatenate([tree, tree[above]])
+                size, tree = np.bincount(tree, minlength=count), tree[start:]
+            tree = tree[parent - start]
             size += np.bincount(tree, minlength=count)
             keep = (size <= node_cap)[tree]
             if not keep.all():
-                parent, types, tree = parent[keep], types[keep], tree[keep]
+                parent, tree = parent[keep], tree[keep]
                 live = None if live is None else live[keep]
-        if parent.size:
-            levels.append((parent, types))
-            if live is not None:
-                marks.append(live)
-        n = parent.size
+        parents.append(parent)
+        marks.append(live)
+        sizes.append(parent.size)
+        start, total = total, total + parent.size
+    parent = np.concatenate(parents) if parents else np.zeros(0, dtype=np.int64)
+    live = None if live is None else np.concatenate(marks)
     alive = np.full(count, node_cap >= 1) if size is None else size <= node_cap
     if not alive.all():
-        _drop_trees(levels, alive, marks)
-    return levels, alive, marks
+        keep, parent, sizes = _drop_trees(parent, sizes, alive)
+        live = None if live is None else live[keep]
+    return parent, rng.integers(0, 4, size=parent.size, dtype=np.int8), sizes, alive, live
 
 
-def _drop_trees(levels, alive, marks) -> None:
-    """Remove from `levels` and `marks` (None without live marks), in place,
-    every node below the root of a tree k with alive[k] False; the other
-    trees keep their shape and child order."""
-    tree = np.arange(alive.size)
-    index = tree  # new position of each kept node of the generation above
-    for g, (parent, types) in enumerate(levels):
-        tree = tree[parent]
-        keep = alive[tree]
-        if not keep.any():  # no kept tree reaches this deep
-            del levels[g:]
-            if marks is not None:
-                del marks[g:]
-            return
-        levels[g] = (index[parent[keep]].astype(np.int32), types[keep])
-        if marks is not None:
-            marks[g] = marks[g][keep]
-        index = np.cumsum(keep) - 1
+def _drop_trees(parent, sizes, alive):
+    """(keep mask, parent, sizes) of a `_grow_forest` layout without the nodes
+    below the roots k with alive[k] False; the other trees stay as they are."""
+    count = alive.size
+    tree = np.arange(count + parent.size)
+    ends = np.cumsum(sizes).tolist()  # one past the last node of each generation
+    for lo, hi in zip(ends, ends[1:]):
+        tree[lo:hi] = tree[parent[lo - count:hi - count]]
+    keep = alive[tree]
+    keep[:count] = True
+    index = np.cumsum(keep) - 1  # new position of each kept node
+    kept = np.diff(index[[end - 1 for end in ends]], prepend=-1).tolist()  # per generation
+    return keep, index[parent[keep[count:]]], [k for k in kept if k]  # trailing zeros
 
 
-def _forest_texts(levels, marks, count: int) -> list[str]:
-    """`treebp.format_tree` text of each of `count` trees of a sampled forest.
-
-    Built bottom-up from the level arrays, so depth costs no recursion. With
-    marks, a "!" after the v flags every live node, the roots included.
-    """
+def _forest_texts(parent, types, live, count: int) -> list[str]:
+    """`treebp.format_tree` text of each of the `count` trees of a flat forest,
+    built in one pass from the last node up; a "!" after the v marks a live node."""
     edges = [EDGE_TEXT[ct] for ct in CLAUSE_TYPES]
-    flags = None if marks is None else [np.ones(count, dtype=bool), *marks]
-    sizes = [count] + [len(parent) for parent, _ in levels]
-    inner = [""] * sizes[-1]  # the children's text of each node
-    for g in range(len(levels), -1, -1):
-        heads = (["(v"] * sizes[g] if flags is None
-                 else ["(v!" if f else "(v" for f in flags[g].tolist()])
-        texts = [head + body + ")" for head, body in zip(heads, inner)]
-        if g:
-            parent, types = levels[g - 1]
-            below = zip(map(edges.__getitem__, types.tolist()), texts)
-            inner = ["".join(edge + text for edge, text in islice(below, k))
-                     for k in np.bincount(parent, minlength=sizes[g - 1]).tolist()]
-    return texts
+    heads = (["(v"] * (count + parent.size) if live is None
+             else ["(v!" if f else "(v" for f in live.tolist()])
+    below: dict[int, list[str]] = {}  # each node's finished children, last first
+    for v, p, t in zip(range(count + parent.size - 1, count - 1, -1),
+                       reversed(parent.tolist()), reversed(types.tolist())):
+        text = heads[v] + "".join(reversed(below.pop(v, ()))) + ")"
+        below.setdefault(p, []).append(edges[t] + text)
+    return [heads[k] + "".join(reversed(below.pop(k, ()))) + ")" for k in range(count)]
 
 
-def _forest_root_pairs(levels, count: int) -> list[tuple[int, int]]:
-    """Exact root marginal (a, b) of each of `count` trees of a sampled forest.
-
-    Folds the generations bottom-up with `treebp.fold_factors`; a node without
-    children is (1, 2). Consumes `levels`, freeing each generation once folded.
-    """
-    vals = [(1, 2)] * (len(levels[-1][0]) if levels else count)
-    while levels:
-        parent, types = levels.pop()
-        n_up = len(levels[-1][0]) if levels else count
-        prods = [[1] * n_up for _ in range(4)]
-        fold_factors(prods, parent.tolist(), types.tolist(), vals)
-        vals = product_pairs(prods)
-    return vals
+def _forest_root_pairs(parent, types, count: int) -> list[tuple[int, int]]:
+    """Exact root marginal (a, b) of each tree of a flat forest (`treebp.fold_up`)."""
+    prods = [[1] * (count + parent.size) for _ in range(2)]
+    fold_up(prods, parent.tolist(), types.tolist(), count)
+    return product_pairs([p[:count] for p in prods])
 
 
 _FOREST_TAGS = {"extinct": 0x6D, "none": 0x6A, "survive": 0x6C}
 
 
 def _forest_chunk(args) -> tuple[list[Fraction | None], list[str]]:
-    tag, lam, live_lam, depth, count, seed, node_cap, dump = args
-    levels, alive, marks = _grow_forest(substream(seed, tag), count, lam, node_cap, depth,
-                                        live_lam)
-    texts = _forest_texts(levels, marks, count) if dump else []
-    pairs = _forest_root_pairs(levels, count)
-    return [Fraction(a, b) if ok else None for (a, b), ok in zip(pairs, alive.tolist())], texts
+    tag, lam, live_lam, depth, count, seed, k, node_cap, dump = args
+    parent, types, _, alive, live = _grow_forest(substream(seed, 0x71, k, tag), count, lam,
+                                                 node_cap, depth, live_lam)
+    texts = _forest_texts(parent, types, live, count) if dump else []
+    pairs = _forest_root_pairs(parent, types, count)
+    shared = {ab: Fraction(*ab) for ab in set(pairs)}  # one Fraction per distinct pair
+    return [shared[ab] if ok else None for ab, ok in zip(pairs, alive.tolist())], texts
 
 
 def tree_marginal_samples(
@@ -393,17 +371,10 @@ def tree_marginal_samples(
     info = extinction_probability(d)
     lam = d if conditioned == "none" else d * info.eta
     live_lam = d * info.zeta if conditioned == "survive" else None
-    specs = [
-        (_FOREST_TAGS[conditioned], lam, live_lam, depth, c,
-         subseed(seed, 0x71, k), node_cap, dump)
-        for k, c in enumerate(chunk_sizes(n, chunk))
-    ]
-    values: list[Fraction | None] = []
-    texts: list[str] = []
-    for part, lines in parallel_map(_forest_chunk, specs, workers=workers):
-        values.extend(part)
-        texts.extend(lines)
-    return values, texts
+    specs = [(_FOREST_TAGS[conditioned], lam, live_lam, depth, c, seed, k, node_cap, dump)
+             for k, c in enumerate(chunk_sizes(n, chunk))]
+    parts = parallel_map(_forest_chunk, specs, workers=workers)
+    return [q for part, _ in parts for q in part], [text for _, lines in parts for text in lines]
 
 
 def extinct_marginal_samples(

@@ -76,29 +76,49 @@ def bp_pair(entries) -> tuple[int, int]:
 def fold_factors(prods, targets, types, pairs) -> None:
     """Multiply clause factors into node products in place, by `bp_pair`'s rule.
 
-    prods holds four lists, N+, D+, N- and D- by node. The marginal
-    pairs[k] = (a, b) of a neighbour enters node targets[k] through clause
-    CLAUSE_TYPES[types[k]], whose first sign is the target's.
+    prods holds two lists by node, P = N+ D- and Q = N- D+, so a node's
+    marginal is P/(P + Q). The marginal pairs[k] = (a, b) of a neighbour
+    enters node targets[k] through clause CLAUSE_TYPES[types[k]], whose
+    first sign is the target's.
     """
-    n_plus, d_plus, n_minus, d_minus = prods
+    p_prod, q_prod = prods
     for v, t, (a, b) in zip(targets, types, pairs):
         if t < 2:  # (+, s'): the factor weighs v = -1
-            n_minus[v] *= b - a if t else a
-            d_minus[v] *= b
+            p_prod[v] *= b
+            q_prod[v] *= b - a if t else a
         else:
-            n_plus[v] *= b - a if t == 3 else a
-            d_plus[v] *= b
+            p_prod[v] *= b - a if t == 3 else a
+            q_prod[v] *= b
 
 
 def product_pairs(prods) -> list[tuple[int, int]]:
-    """Reduced marginal pair N+D- / (N+D- + N-D+) of every node of `prods`."""
+    """Reduced marginal pair P / (P + Q) of every node of `prods`."""
     out = []
-    for n_plus, d_plus, n_minus, d_minus in zip(*prods):
-        x = n_plus * d_minus
-        y = x + n_minus * d_plus
-        g = gcd(x, y)
-        out.append((x // g, y // g))
+    for x, q in zip(*prods):
+        g = gcd(x, q)
+        out.append((x // g, (x + q) // g))
     return out
+
+
+def fold_up(prods, parents, types, first: int) -> None:
+    """Upward pass of a flat forest in place: `product_pairs` and then
+    `fold_factors` per node, from the last node up. Node first + k hangs below
+    parents[k] < first + k through CLAUSE_TYPES[types[k]], so each node is
+    complete when its reduced pair a/b (c = b - a) enters its parent."""
+    p_prod, q_prod = prods
+    for v, p, t in zip(range(first + len(parents) - 1, first - 1, -1),
+                       reversed(parents), reversed(types)):
+        a, c = p_prod[v], q_prod[v]
+        g = gcd(a, c)
+        if g > 1:
+            a //= g
+            c //= g
+        if t < 2:
+            p_prod[p] *= a + c
+            q_prod[p] *= c if t else a
+        else:
+            p_prod[p] *= c if t == 3 else a
+            q_prod[p] *= a + c
 
 
 def fold(root, combine):

@@ -287,6 +287,21 @@ def test_memory_error_exits_resource_limit(tmp_path):
     assert res.stderr.splitlines()[-1].startswith("resource limit: ")
 
 
+def test_deep_survival_forest_exits_at_the_node_budget(tmp_path, monkeypatch, capsys):
+    # 2,000 trees cut 25 generations down would need about 2.6e8 nodes; the
+    # chunk stops at the budget (lowered here to keep the test small)
+    from twosatlab import gwsim
+
+    monkeypatch.setattr(gwsim, "_NODE_BUDGET", 100_000)
+    monkeypatch.chdir(tmp_path)
+    assert main(["gw-sample", "--d", "1.5", "--conditioned", "survive", "--method", "tree",
+                 "--depth", "25", "--n", "2000", "--seed", "1", "--out", "v.txt"]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and not (tmp_path / "v.txt").exists()
+    assert err == ("resource limit: 2000 trees cut at depth 25 would pass the budget of "
+                   "100000 nodes per chunk\n")
+
+
 def test_compare_identical(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     assert main(["density-evolution", "--d", "1.0", "--size", "1000", "--iters", "5",
@@ -674,3 +689,93 @@ def test_verify_prints_criterion_seconds_on_stderr(monkeypatch, capsys):
     out, err = capsys.readouterr()
     assert out == "[PASS] C01 trivial: ok\n[FAIL] C02 trivial: ok\n"
     assert re.fullmatch(r"C01 \d+\.\d{3} s\nC02 \d+\.\d{3} s\n", err)
+
+
+# one small valid run per subcommand; the sweep below varies one flag at a time
+_SWEEP_BASE = {
+    "gen": ["--n", "30", "--d", "1.0", "--seed", "1", "--out", "out.txt"],
+    "count": ["--in", "small.txt"],
+    "marginals": ["--in", "small.txt", "--out", "out.json"],
+    "tree-bp": ["--in", "tree.txt"],
+    "construct-tree": ["3/7"],
+    "gw-sample": ["--d", "1.5", "--n", "20", "--seed", "1", "--depth", "3", "--conditioned",
+                  "survive", "--method", "tree", "--out", "out.txt", "--dump-trees", "trees.txt"],
+    "density-evolution": ["--d", "1.2", "--size", "300", "--iters", "3", "--seed", "1",
+                          "--out", "out.pop", "--emit-trace", "trace.csv"],
+    "atoms": ["--in", "mu.pop", "--d", "1.2"],
+    "mixture": ["--d", "1.5", "--n-discrete", "200", "--n-continuous", "200", "--depth", "3",
+                "--seed", "1", "--bins", "5", "--out", "out.json", "--hist", "hist.csv"],
+    "compare": ["--a", "theta.pop", "--b", "mu.pop"],
+    "verify": ["--quick"],
+}
+_SWEEP_PATHS = {"infile", "out", "dump_trees", "emit_trace", "hist", "pop_a", "pop_b"}
+
+
+def _sweep_cases():
+    """(subcommand, argv) for every numeric flag at 0, -1, nan, inf, 1e308 and
+    "", and every path flag at a directory, a missing file and an empty file."""
+    import argparse
+
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    assert sorted(sub.choices) == sorted(_SWEEP_BASE)
+    for name, parser in sub.choices.items():
+        for action in parser._actions:
+            if not action.option_strings or action.dest == "help":
+                continue
+            if action.type in (int, float, cli._positive_int):
+                values = ["0", "-1", "nan", "inf", "1e308", ""]
+            elif action.dest in _SWEEP_PATHS:
+                values = ["dir", "missing.txt", "empty.txt"]
+            else:
+                continue
+            flag = action.option_strings[0]
+            for value in values:
+                argv = list(_SWEEP_BASE[name])
+                if flag in argv:
+                    argv[argv.index(flag) + 1] = value
+                else:
+                    argv += [flag, value]
+                yield name, [name, *argv]
+
+
+def test_every_flag_value_maps_to_a_documented_exit(tmp_path, monkeypatch, capsys):
+    # in-process through cli.main: an exit code in {0, 2, 3}, no traceback,
+    # and no artifact left behind by a run that exits 2
+    def trivial(ctx):  # the gate itself is tested elsewhere; its flags are swept here
+        return ctx.seed >= 0, "ok"
+
+    monkeypatch.setattr(acceptance, "CRITERIA", [("trivial", trivial)])
+    inputs = tmp_path / "inputs"
+    inputs.mkdir()
+    monkeypatch.chdir(inputs)
+    (inputs / "small.txt").write_text("p 2sat 3 2\n1 2\n-1 3\n")
+    (inputs / "tree.txt").write_text("(v [-+](v))\n")
+    assert main(["density-evolution", "--d", "1.2", "--size", "300", "--iters", "2",
+                 "--seed", "1", "--out", "theta.pop"]) == 0
+    assert main(["density-evolution", "--d", "1.2", "--size", "300", "--iters", "2",
+                 "--seed", "1", "--operator", "de", "--out", "mu.pop"]) == 0
+    files = {p.name: p.read_bytes() for p in inputs.iterdir()}
+    capsys.readouterr()
+    failures = []
+    for k, (name, argv) in enumerate(_sweep_cases()):
+        run = tmp_path / f"run{k}"
+        run.mkdir()
+        (run / "dir").mkdir()
+        (run / "empty.txt").write_text("")
+        for file, data in files.items():
+            (run / file).write_bytes(data)
+        before = sorted(p.name for p in run.iterdir())
+        monkeypatch.chdir(run)
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects the flag
+            code = exc.code
+        except Exception as exc:  # noqa: BLE001 - reported with its argv below
+            code = repr(exc)
+        err = capsys.readouterr().err
+        changed = [p.name for p in run.iterdir() if p.is_file()
+                   and (p.name not in before or p.read_bytes() != files.get(p.name, b""))]
+        if code not in (0, 2, 3) or "Traceback" in err or (code == 2 and changed):
+            failures.append((argv, code, changed, err.strip().splitlines()[-1:]))
+    assert failures == [], "\n".join(map(repr, failures))

@@ -38,7 +38,8 @@ from twosatlab.treebp import (
     parse_tree,
     root_marginal,
 )
-from twosatlab.util import substream
+from twosatlab import gwsim
+from twosatlab.util import ResourceLimitError, substream
 from test_numerics import log_clause_term
 
 CASES = ("none", "extinct", "survive")
@@ -91,17 +92,21 @@ def grow(conditioned, d, count, seed, depth=None, node_cap=10**9):
     return _grow_forest(substream(seed, 0), count, lam, node_cap, depth, live_lam)
 
 
-def forest_trees(levels, count):
-    """TreeFormula trees rebuilt bottom-up from a forest's level arrays."""
-    sizes = [count] + [len(parent) for parent, _ in levels]
-    nodes = [TreeFormula() for _ in range(sizes[-1])]
-    for g in range(len(levels), 0, -1):
-        parent, types = levels[g - 1]
-        kids = [[] for _ in range(sizes[g - 1])]
-        for p, t, node in zip(parent.tolist(), types.tolist(), nodes):
-            kids[p].append((CLAUSE_TYPES[t], node))
-        nodes = [TreeFormula(children=tuple(k)) for k in kids]
-    return nodes
+def forest_trees(parent, types, count):
+    """TreeFormula trees rebuilt bottom-up from a flat forest's arrays."""
+    kids = [[] for _ in range(count + len(parent))]
+    parent, types = list(parent), list(types)
+    for v in range(len(kids) - 1, count - 1, -1):
+        node = TreeFormula(children=tuple(reversed(kids[v])))
+        kids[parent[v - count]].append((CLAUSE_TYPES[types[v - count]], node))
+    return [TreeFormula(children=tuple(reversed(k))) for k in kids[:count]]
+
+
+def cut(forest, ell):
+    """(parent, types) of a grown forest cut ell generations below its roots."""
+    parent, types, sizes = forest[:3]
+    k = sum(sizes[1:ell + 1])
+    return parent[:k], types[:k]
 
 
 def _cut_pairs(kids):
@@ -125,9 +130,9 @@ def marginal_sequence(root, depth):
     return [Fraction(a, b) for a, b in seq]
 
 
-def cut_marginals(levels, count, depth):
+def cut_marginals(forest, count, depth):
     """Root marginals of every tree of a forest cut 0..depth generations down."""
-    return [[Fraction(a, b) for a, b in _forest_root_pairs(levels[:ell], count)]
+    return [[Fraction(a, b) for a, b in _forest_root_pairs(*cut(forest, ell), count)]
             for ell in range(depth + 1)]
 
 
@@ -212,15 +217,15 @@ def test_grower_matches_node_oracle_in_law(conditioned):
 
 
 def test_truncated_level_zero():
-    levels, alive, marks = grow("none", 1.0, 50, seed=1, depth=0)
-    assert levels == [] and alive.all() and marks is None
+    parent, types, sizes, alive, live = grow("none", 1.0, 50, seed=1, depth=0)
+    assert parent.size == types.size == 0 and sizes == [50] and alive.all() and live is None
     assert tree_marginal_samples(1.0, 50, 1, "none", 0) == ([Fraction(1, 2)] * 50, [])
 
 
 def test_truncated_offspring_statistics():
     n = 30_000
-    levels, _, _ = grow("none", 1.0, n, seed=2, depth=1)
-    counts = np.bincount(levels[0][0], minlength=n)
+    parent = grow("none", 1.0, n, seed=2, depth=1)[0]
+    counts = np.bincount(parent, minlength=n)
     iso = np.mean(counts == 0)
     se_iso = math.sqrt(math.exp(-1.0) * (1 - math.exp(-1.0)) / n)
     assert abs(iso - math.exp(-1.0)) <= 3 * se_iso
@@ -228,8 +233,8 @@ def test_truncated_offspring_statistics():
 
 
 def test_truncated_depth_respected():
-    levels, _, _ = grow("none", 1.8, 200, seed=5, depth=3)
-    assert len(levels) == 3
+    sizes = grow("none", 1.8, 200, seed=5, depth=3)[2]
+    assert len(sizes) == 4
     _, texts = tree_marginal_samples(1.8, 200, 5, "none", 3, dump=True)
     assert max(_depth(parse_tree(text)) for text in texts) == 4
 
@@ -250,37 +255,36 @@ def test_sequence_matches_truncations():
     # a forest cut at depth l is its first l levels: its pairs, and BP on the
     # cut trees rebuilt as TreeFormula trees, match the oracle's sequence
     count = 25
-    levels, _, _ = grow("none", 1.4, count, seed=3, depth=4)
-    cuts = cut_marginals(levels, count, 4)
-    for k, root in enumerate(forest_trees(levels, count)):
+    forest = grow("none", 1.4, count, seed=3, depth=4)
+    cuts = cut_marginals(forest, count, 4)
+    for k, root in enumerate(forest_trees(*forest[:2], count)):
         seq = marginal_sequence(root, 4)
         assert seq[0] == Fraction(1, 2)
         assert [cut[k] for cut in cuts] == seq
     for ell in range(5):
-        assert [root_marginal(r) for r in forest_trees(levels[:ell], count)] == cuts[ell]
+        assert [root_marginal(r) for r in forest_trees(*cut(forest, ell), count)] == cuts[ell]
 
 
 def test_forest_deep_chain_is_iterative():
     # a 3000-deep chain: a recursive walk would overflow the interpreter stack.
     # Each (-,+) edge maps q to q/(1+q), so the cut at depth l has marginal 1/(l+2)
     depth = 3000
-    levels = [(np.zeros(1, dtype=np.int32), np.full(1, 2, dtype=np.int8))] * depth
+    parent, types = np.arange(depth), np.full(depth, 2, dtype=np.int8)
     assert CLAUSE_TYPES[2] == ClauseType(-1, 1)
-    assert _forest_root_pairs(levels[:1500], 1) == [(1, 1502)]
-    marks = [np.ones(1, dtype=bool)] * depth
-    for tags, head in ((None, "(v"), (marks, "(v!")):
-        (text,) = _forest_texts(levels, tags, 1)
+    assert _forest_root_pairs(parent[:1500], types[:1500], 1) == [(1, 1502)]
+    for live, head in ((None, "(v"), (np.ones(depth + 1, dtype=bool), "(v!")):
+        (text,) = _forest_texts(parent, types, live, 1)
         assert text == (head + " [-+]") * depth + head + ")" * (depth + 1)
         assert root_marginal(parse_tree(text)) == Fraction(1, depth + 2)
-    (text,) = _forest_texts(levels[:1500], None, 1)
+    (text,) = _forest_texts(parent[:1500], types[:1500], None, 1)
     assert root_marginal(parse_tree(text)) == Fraction(1, 1502)
 
 
 def test_sequence_decomposition_identity():
     # root marginal at depth l from the children's depth-(l-1) marginals,
     # split by the sign the root carries in each clause
-    levels, _, _ = grow("none", 1.5, 25, seed=1000, depth=3)
-    for root in forest_trees(levels, 25):
+    forest = grow("none", 1.5, 25, seed=1000, depth=3)
+    for root in forest_trees(*forest[:2], 25):
         seq = marginal_sequence(root, 3)
         for ell in (1, 2, 3):
             num = Fraction(1)
@@ -300,9 +304,9 @@ def test_theta_recursion_float_identity():
     def phi_frac(q):
         return math.log(q.numerator) - math.log(q.denominator - q.numerator)
 
-    levels, _, _ = grow("none", 1.2, 20, seed=2000, depth=3)
+    forest = grow("none", 1.2, 20, seed=2000, depth=3)
     ell = 3
-    for root in forest_trees(levels, 20):
+    for root in forest_trees(*forest[:2], 20):
         theta_root = phi_frac(marginal_sequence(root, ell)[ell])
         acc = 0.0
         for (s, sp), child in root.children:
@@ -312,8 +316,8 @@ def test_theta_recursion_float_identity():
 
 
 def test_all_marginals_interior():
-    levels, _, _ = grow("none", 1.9, 40, seed=6, depth=3)
-    assert all(0 < q < 1 for cut in cut_marginals(levels, 40, 3) for q in cut)
+    forest = grow("none", 1.9, 40, seed=6, depth=3)
+    assert all(0 < q < 1 for cuts in cut_marginals(forest, 40, 3) for q in cuts)
 
 
 # -- conditioned trees -------------------------------------------------------------
@@ -321,8 +325,8 @@ def test_all_marginals_interior():
 
 def test_extinct_subcritical_matches_unconditioned():
     n = 20_000
-    levels, _, _ = grow("extinct", 0.8, n, seed=7, depth=1)
-    counts = np.bincount(levels[0][0], minlength=n)
+    parent = grow("extinct", 0.8, n, seed=7, depth=1)[0]
+    counts = np.bincount(parent, minlength=n)
     lam = 0.8
     for k in range(4):
         p = math.exp(-lam) * lam**k / math.factorial(k)
@@ -332,8 +336,8 @@ def test_extinct_subcritical_matches_unconditioned():
 
 def test_extinct_supercritical_mean_offspring():
     n = 20_000
-    levels, _, _ = grow("extinct", 1.5, n, seed=8, depth=1)
-    counts = np.bincount(levels[0][0], minlength=n)
+    parent = grow("extinct", 1.5, n, seed=8, depth=1)[0]
+    counts = np.bincount(parent, minlength=n)
     target = 1.5 * extinction_probability(1.5).eta
     assert abs(counts.mean() - target) <= 3 * counts.std() / math.sqrt(n)
 
@@ -359,15 +363,17 @@ def test_forest_pairs_match_tree_bp(d):
                                       ("survive", 5, 200)):
         if conditioned == "survive" and d < 1:
             continue
-        levels, alive, marks = grow(conditioned, d, count, seed=int(10 * d), depth=depth)
-        roots = forest_trees(levels, count)
+        parent, types, _, alive, live = grow(conditioned, d, count, seed=int(10 * d),
+                                             depth=depth)
+        roots = forest_trees(parent, types, count)
         assert alive.all() and any(r.children for r in roots)
-        texts = _forest_texts(levels, marks, count)
+        texts = _forest_texts(parent, types, live, count)
         assert [text.replace("!", "") for text in texts] == [format_tree(r) for r in roots]
-        n_live = 0 if marks is None else count + sum(int(m.sum()) for m in marks)
+        n_live = 0 if live is None else int(live.sum())
         assert sum(text.count("!") for text in texts) == n_live
-        pairs = _forest_root_pairs(levels, count)
-        assert not levels  # consumed
+        pairs = _forest_root_pairs(parent, types, count)
+        # flat layout: parents ascend, and each node comes after its parent
+        assert (np.diff(parent) >= 0).all() and (parent < count + np.arange(parent.size)).all()
         assert [Fraction(a, b) for a, b in pairs] == [root_marginal(r) for r in roots]
         assert all(math.gcd(a, b) == 1 for a, b in pairs)
 
@@ -376,16 +382,15 @@ def test_forest_cap_drops_exactly_the_oversize_trees():
     # a one-tree forest draws the same numbers with or without a cap until
     # the cap stops it: a cap at the tree's true size keeps it, one less drops it
     for k in range(200):
-        full, _, _ = _grow_forest(substream(42, k), 1, 1.0, 10**9)
-        size = 1 + sum(len(parent) for parent, _ in full)
+        size = 1 + _grow_forest(substream(42, k), 1, 1.0, 10**9)[0].size
         for cap, kept in ((size, True), (size - 1, False)):
-            _, alive, _ = _grow_forest(substream(42, k), 1, 1.0, cap)
+            alive = _grow_forest(substream(42, k), 1, 1.0, cap)[3]
             assert alive.tolist() == [kept]
     # many trees at once: every kept tree is within the cap, and a dropped
     # tree leaves only its root in the levels
     cap = 30
-    levels, alive, _ = _grow_forest(substream(43, 0), 2000, 1.0, cap)
-    roots = forest_trees(levels, 2000)
+    parent, types, _, alive, _ = _grow_forest(substream(43, 0), 2000, 1.0, cap)
+    roots = forest_trees(parent, types, 2000)
     assert 0 < (~alive).sum() < 2000
     assert all(_count_nodes(r) <= cap if ok else not r.children
                for r, ok in zip(roots, alive))
@@ -398,36 +403,37 @@ def test_forest_total_past_the_cap_drops_no_tree_under_it(conditioned, d, depth)
     # node total passes the cap; with every tree still under the cap it drops
     # nothing and draws the same numbers as no cap at all
     count = 40
-    levels, alive, marks = grow(conditioned, d, count, seed=45, depth=depth)
-    sizes = [_count_nodes(r) for r in forest_trees(levels, count)]
+    parent, types, gens, alive, live = grow(conditioned, d, count, seed=45, depth=depth)
+    sizes = [_count_nodes(r) for r in forest_trees(parent, types, count)]
     # the total passes the cap after the first generation, which the rebuild has to count
-    assert alive.all() and count + levels[0][0].size < max(sizes) < sum(sizes)
-    capped, alive_c, marks_c = grow(conditioned, d, count, seed=45, depth=depth,
-                                    node_cap=max(sizes))
+    assert alive.all() and gens[0] + gens[1] < max(sizes) < sum(sizes)
+    p_c, t_c, gens_c, alive_c, live_c = grow(conditioned, d, count, seed=45, depth=depth,
+                                             node_cap=max(sizes))
     assert alive_c.all()
-    assert all(np.array_equal(p, q) and np.array_equal(t, u)
-               for (p, t), (q, u) in zip(levels, capped, strict=True))
-    assert marks is None or all(np.array_equal(m, n) for m, n in zip(marks, marks_c, strict=True))
+    assert np.array_equal(parent, p_c) and np.array_equal(types, t_c) and gens == gens_c
+    assert live is None or np.array_equal(live, live_c)
     # one node less: the streams agree until the first largest tree passes
     # the cap, so it is dropped, and every kept tree is within the cap
-    capped, alive_c, _ = grow(conditioned, d, count, seed=45, depth=depth,
-                              node_cap=max(sizes) - 1)
+    p_c, t_c, _, alive_c, _ = grow(conditioned, d, count, seed=45, depth=depth,
+                                   node_cap=max(sizes) - 1)
     assert not alive_c.all()
     assert all(_count_nodes(r) < max(sizes) if ok else not r.children
-               for r, ok in zip(forest_trees(capped, count), alive_c))
+               for r, ok in zip(forest_trees(p_c, t_c, count), alive_c))
 
 
 def test_drop_trees_leaves_the_kept_trees_intact():
     count = 300
     for conditioned, d, depth, root in (("extinct", 0.8, None, "(v)"),
                                         ("survive", 1.5, 4, "(v!)")):
-        levels, _, marks = grow(conditioned, d, count, seed=44, depth=depth)
-        full = _forest_texts(levels, marks, count)
+        parent, types, sizes, _, live = grow(conditioned, d, count, seed=44, depth=depth)
+        full = _forest_texts(parent, types, live, count)
         alive = substream(44, 1).random(count) < 0.7
-        _drop_trees(levels, alive, marks)
-        kept = _forest_texts(levels, marks, count)
+        keep, kept_parent, kept_sizes = _drop_trees(parent, sizes, alive)
+        kept = _forest_texts(kept_parent, types[keep[count:]],
+                             None if live is None else live[keep], count)
         assert kept == [text if ok else root for text, ok in zip(full, alive)]
-        assert all(parent.dtype == np.int32 and parent.size for parent, _ in levels)
+        assert kept_parent.dtype == parent.dtype and all(kept_sizes)
+        assert sum(kept_sizes) == count + kept_parent.size
 
 
 def test_extinct_marginals_oversize_share_matches_borel_law():
@@ -444,6 +450,47 @@ def test_extinct_marginals_worker_invariant():
     one = extinct_marginal_samples(0.8, 500, seed=3, chunk=100, workers=1)
     two = extinct_marginal_samples(0.8, 500, seed=3, chunk=100, workers=2)
     assert one == two and len(one) == 500
+
+
+@pytest.mark.parametrize("conditioned", ["none", "survive"])
+def test_depth_cut_samples_worker_invariant(conditioned):
+    # each chunk seeds its own generator, so values and dumps of five chunks
+    # come back the same from one process and from a pool of two
+    one = tree_marginal_samples(1.5, 250, 4, conditioned, 4, chunk=50, workers=1, dump=True)
+    two = tree_marginal_samples(1.5, 250, 4, conditioned, 4, chunk=50, workers=2, dump=True)
+    assert one == two and len(one[0]) == len(one[1]) == 250
+    # and a chunk's trees depend on its index, not on the chunks beside it
+    assert tree_marginal_samples(1.5, 100, 4, conditioned, 4, chunk=50, dump=True) == (
+        one[0][:100], one[1][:100])
+
+
+def test_flat_fold_matches_root_marginal_bit_for_bit():
+    # the one-pass pair fold against Fraction BP on the same trees rebuilt
+    # as TreeFormula trees, on forests of every law and on a chain 10^4 deep
+    # with random clause types, where the pairs run to thousands of bits
+    forests = [(grow(conditioned, 1.5, 300, seed=60, depth=depth), 300)
+               for conditioned, depth in (("extinct", None), ("none", 6), ("survive", 5))]
+    depth = 10_000
+    chain = (np.arange(depth), substream(61, 0).integers(0, 4, size=depth, dtype=np.int8))
+    for (parent, types, *_), count in [*forests, (chain, 1)]:
+        pairs = _forest_root_pairs(parent, types, count)
+        want = [root_marginal(r) for r in forest_trees(parent, types, count)]
+        assert pairs == [(q.numerator, q.denominator) for q in want]
+    assert pairs[0][1].bit_length() > 1000
+
+
+def test_depth_cut_chunk_budget(monkeypatch):
+    # a chunk of depth-cut trees raises before a generation would take it
+    # past the node budget; at the budget it draws exactly as without one
+    vals, texts = tree_marginal_samples(1.5, 100, 1, "survive", 4, dump=True)
+    nodes = sum(text.count("(v") for text in texts)
+    monkeypatch.setattr(gwsim, "_NODE_BUDGET", nodes)
+    assert tree_marginal_samples(1.5, 100, 1, "survive", 4, dump=True) == (vals, texts)
+    monkeypatch.setattr(gwsim, "_NODE_BUDGET", nodes - 1)
+    with pytest.raises(ResourceLimitError, match=f"budget of {nodes - 1} nodes per chunk"):
+        tree_marginal_samples(1.5, 100, 1, "survive", 4)
+    # complete extinct trees are bounded by node_cap instead
+    assert len(extinct_marginal_samples(0.8, 2000, 1)) == 2000
 
 
 @pytest.mark.parametrize("conditioned", CASES)
@@ -482,14 +529,14 @@ def test_survival_marks_reach_depth():
     # live nodes: the roots; every live node keeps a live child down to the
     # cut; live children hang only below live parents, before their dead siblings
     count, depth = 300, 5
-    levels, alive, marks = grow("survive", 1.5, count, seed=45, depth=depth)
-    assert alive.all() and len(levels) == len(marks) == depth
-    live = np.ones(count, dtype=bool)
-    for (parent, _), mark in zip(levels, marks):
-        assert live[parent[mark]].all()
-        assert (np.bincount(parent[mark], minlength=live.size) >= 1)[live].all()
-        assert not (mark[1:] & ~mark[:-1] & (parent[1:] == parent[:-1])).any()
-        live = mark
+    parent, _, sizes, alive, live = grow("survive", 1.5, count, seed=45, depth=depth)
+    assert alive.all() and len(sizes) == depth + 1 and live.size == sum(sizes)
+    assert live[:count].all()
+    mark = live[count:]  # the live non-root nodes
+    assert live[parent[mark]].all()
+    above = sum(sizes[:-1])  # every node above the cut has a live child if it is live
+    assert (np.bincount(parent[mark], minlength=live.size) >= 1)[:above][live[:above]].all()
+    assert not (mark[1:] & ~mark[:-1] & (parent[1:] == parent[:-1])).any()
 
 
 def test_survival_root_counts_match_rejection_oracle():
@@ -507,9 +554,8 @@ def test_survival_root_counts_match_rejection_oracle():
     kept = np.array(kept[:kept_target])
 
     n_cond = 100_000
-    levels, _, marks = grow("survive", d, n_cond, seed=988, depth=1)
-    parent = levels[0][0]
-    live = np.bincount(parent[marks[0]], minlength=n_cond)
+    parent, _, _, _, marks = grow("survive", d, n_cond, seed=988, depth=1)
+    live = np.bincount(parent[marks[n_cond:]], minlength=n_cond)
     cond = np.bincount(parent, minlength=n_cond)
 
     hi = int(max(kept.max(), cond.max())) + 1
@@ -666,8 +712,8 @@ def test_increments_match_exact_sequence_oracle(d):
     def phi_frac(q):
         return math.log(q.numerator) - math.log(q.denominator - q.numerator)
 
-    levels, _, _ = grow("none", d, 3000, seed=12, depth=4)
-    cuts = np.array([[phi_frac(q) for q in cut] for cut in cut_marginals(levels, 3000, 4)])
+    forest = grow("none", d, 3000, seed=12, depth=4)
+    cuts = np.array([[phi_frac(q) for q in row] for row in cut_marginals(forest, 3000, 4)])
     incs = np.abs(np.diff(cuts, axis=0)).T
     got = np.array([v for _, v in coupled_increment_stats(d, 3, 40_000, seed=12)])
     se = incs.std(axis=0) * math.sqrt(1 / 3000 + 1 / 40_000)
