@@ -3,11 +3,19 @@
 import ast
 import hashlib
 import json
+import math
+import re
+import shlex
 from pathlib import Path
 
+import pytest
+
 import twosatlab
+from twosatlab.cli import main
+from twosatlab.densityev import fixpoint
 from twosatlab.formula import exact_marginals, generate_formula, marginals_to_json
-from twosatlab.gwsim import extinct_marginal_samples, tree_marginal_samples
+from twosatlab.gwsim import (coupled_increment_stats, extinct_marginal_samples,
+                             survival_theta_population, tree_marginal_samples)
 
 SRC = Path(twosatlab.__file__).parent
 BENCHMARK = Path(__file__).resolve().parents[1] / "benchmarks" / "run.py"
@@ -90,3 +98,122 @@ def test_exact_marginals_are_pinned():
         (400, 1.5, 2): "3bebe15f281afc37", (400, 1.5, 3): "252b9c7dd06bb088",
         (200, 1.2, 1): "1f840826852da3ec", (200, 1.2, 2): "b696d51e1e1a814b",
         (200, 1.2, 3): "939791a1540341f7"}
+
+
+# a float is any number with a point or an exponent; its sign stays in the text
+_FLOAT = re.compile(r"\d+\.\d*(?:e[-+]?\d+)?|\d+e[-+]?\d+")
+
+
+def _fingerprint(text: str):
+    """(digest of `text` with every float replaced by '#', float count, two
+    sums of the floats' magnitudes): integers, fractions, trees and flags are
+    pinned byte for byte, floats to the relative tolerance of the sums."""
+    floats = [float(x) for x in _FLOAT.findall(text)]
+    return (_digest([_FLOAT.sub("#", text)]), len(floats), math.fsum(floats),
+            math.fsum((1 + k % 7) * x for k, x in enumerate(floats)))
+
+
+def _assert_pinned(got: dict, want: dict):
+    assert sorted(got) == sorted(want)
+    for key, (digest, count, total, weighted) in want.items():
+        assert got[key][:2] == (digest, count), key
+        assert got[key][2:] == pytest.approx((total, weighted), rel=1e-9, abs=0), key
+
+
+_RUNS = (  # (name, argv, artifacts); each run reads only what earlier runs wrote
+    ("gen", "gen --n 60 --d 1.2 --seed 4 --out f.txt", ["f.txt"]),
+    ("gen-small", "gen --n 12 --d 1.0 --seed 5 --out g.txt", ["g.txt"]),
+    ("count", "count --in g.txt", []),
+    ("marginals", "marginals --in f.txt --out m.json", ["m.json"]),
+    ("construct-tree", "construct-tree 7/19", []),
+    ("tree-bp", "tree-bp --in t.txt", []),
+    ("tree-bp-text", "tree-bp --tree '(v [-+](v [++](v)) [+-](v))'", []),
+    ("gw-extinct", "gw-sample --d 0.8 --n 40 --seed 6 --conditioned extinct "
+                   "--out ge.txt --dump-trees ge.trees", ["ge.txt", "ge.trees"]),
+    ("gw-none", "gw-sample --d 1.5 --depth 4 --n 30 --seed 7 --conditioned none "
+                "--out gn.txt --dump-trees gn.trees", ["gn.txt", "gn.trees"]),
+    ("gw-survive", "gw-sample --d 1.5 --depth 4 --n 20 --seed 8 --conditioned survive "
+                   "--method tree --out gs.txt --dump-trees gs.trees", ["gs.txt", "gs.trees"]),
+    ("gw-population", "gw-sample --d 1.5 --depth 6 --n 50 --seed 9 --conditioned survive "
+                      "--method population --out gp.txt", ["gp.txt"]),
+    ("de-ll", "density-evolution --d 1.5 --size 400 --iters 4 --seed 10 --operator ll "
+              "--emit-trace ll.csv --out ll.pop", ["ll.csv", "ll.pop"]),
+    ("de-de", "density-evolution --d 1.2 --size 400 --iters 4 --seed 11 --operator de "
+              "--emit-trace de.csv --out de.pop", ["de.csv", "de.pop"]),
+    ("atoms", "atoms --in de.pop --d 1.2 --min-count 5", []),
+    ("mixture-0.8", "mixture --d 0.8 --n-discrete 200 --depth 5 --seed 12", []),
+    ("mixture-1.5", "mixture --d 1.5 --n-discrete 200 --n-continuous 200 --depth 5 "
+                    "--seed 13 --bins 8 --out mx.json --hist mx.csv", ["mx.json", "mx.csv"]),
+    ("compare", "compare --a ll.pop --b de.pop", []),
+)
+
+
+def test_subcommand_outputs_are_pinned(tmp_path, monkeypatch, capsys):
+    # stdout and every artifact of each subcommand at small sizes, one worker:
+    # a rework that claims identical outputs must leave every fingerprint alone
+    monkeypatch.chdir(tmp_path)
+    got = {}
+    for name, argv, artifacts in _RUNS:
+        if name == "tree-bp":
+            (tmp_path / "t.txt").write_text(got_tree + "\n")
+        assert main([*shlex.split(argv), "--workers", "1"]) == 0, name
+        out = capsys.readouterr().out
+        if name == "construct-tree":
+            got_tree = out.splitlines()[0]
+        got[name] = _fingerprint(out)
+        got.update((path, _fingerprint((tmp_path / path).read_text())) for path in artifacts)
+    _assert_pinned(got, {
+        "gen": ("c4d7790ff841d4c6", 1, 1.2, 1.2),
+        "f.txt": ("fca24b602e3d262f", 0, 0.0, 0.0),
+        "gen-small": ("d544aaf03977d38e", 1, 1.0, 1.0),
+        "g.txt": ("921fb46b4c64386a", 0, 0.0, 0.0),
+        "count": ("511b3b89a8d9b112", 0, 0.0, 0.0),
+        "marginals": ("49f60fd988867a39", 0, 0.0, 0.0),
+        "m.json": ("9edd569449217d6a", 0, 0.0, 0.0),
+        "construct-tree": ("ca690f8639a5784e", 0, 0.0, 0.0),
+        "tree-bp": ("913c8d30410f16f4", 2, 0.9074175533642661, 1.2758386059958449),
+        "tree-bp-text": ("859bc21f3befc553", 2, 0.8591106438803522, 1.4305392153089236),
+        "gw-extinct": ("41f694e21dda83da", 2, 1.8, 2.8),
+        "ge.txt": ("6f874b1cae830978", 40, 18.889503044876637, 72.07869356150123),
+        "ge.trees": ("ff0a2e4522daac3e", 0, 0.0, 0.0),
+        "gw-none": ("fe222a86f56ddb15", 2, 1.9171883561333072, 2.3343767122666144),
+        "gn.txt": ("284ac050fe622928", 30, 13.683093114436687, 53.501769279634075),
+        "gn.trees": ("b44f317235674bf1", 0, 0.0, 0.0),
+        "gw-survive": ("eb099a305ef4b304", 2, 1.9171883561333072, 2.3343767122666144),
+        "gs.txt": ("2128baad6a1c7241", 20, 9.91470994284597, 36.35190609899027),
+        "gs.trees": ("04fe282e33afe58d", 0, 0.0, 0.0),
+        "gw-population": ("3e1c2717af7ce8a5", 2, 1.9171883561333072, 2.3343767122666144),
+        "gp.txt": ("fa18cc9953fb32bf", 50, 25.50824341073046, 100.35129494455288),
+        "de-ll": ("5ccf67c5a7643661", 5, 2.129745990342766, 3.8970153104684586),
+        "ll.csv": ("89199717f8f17af7", 10, 4.253469975726491, 12.156741172371952),
+        "ll.pop": ("337c33c040fb9644", 298, 309.7151356769735, 1234.152043949533),
+        "de-de": ("14a69fc97dbf9c1c", 5, 1.555982288037662, 2.3507199895857247),
+        "de.csv": ("c64a260c3df14e43", 10, 2.8888759432383853, 7.329742695370599),
+        "de.pop": ("cfe54ae21a11e957", 401, 205.6211792739553, 821.5248783870146),
+        "atoms": ("d79a44f69a3dd8b7", 48, 6.061330156720261, 18.128995213736683),
+        "mixture-0.8": ("06355531308a45e0", 128, 3.600002, 9.210003),
+        "mixture-1.5": ("d6adf17a4873e902", 3, 1.9171893561333073, 2.751567068399922),
+        "mx.json": ("eba2d25c4dc28bd9", 93, 12.447700970477927, 38.217950012678955),
+        "mx.csv": ("0d35016b89b6ef23", 18, 9.500001, 31.750002),
+        "compare": ("d4820efc9bdac3ff", 2, 1.464060642629731, 2.2931212852594616),
+    })
+
+
+def test_float_recursions_are_pinned():
+    # the library's float paths that no subcommand above runs at these sizes
+    runs = fixpoint(1.5, 300, max_iter=3, seed=14), fixpoint(0.9, 300, max_iter=3, seed=15,
+                                                               operator="de")
+    got = {
+        "increments": _fingerprint(repr(coupled_increment_stats(1.5, 3, 300, 16, chunk=128,
+                                                                workers=1))),
+        "survival": _fingerprint(repr(survival_theta_population(1.5, 4, 200, 17).tolist())),
+        **{f"fixpoint-{k}": _fingerprint(repr((r.trace, r.converged, r.noise_floor,
+                                              r.iterations, r.population.samples.tolist())))
+           for k, r in enumerate(runs)},
+    }
+    _assert_pinned(got, {
+        "increments": ("e602ccd99240a917", 4, 1.2974727691298715, 2.488564008432595),
+        "survival": ("a9a0635af9c2f403", 200, 245.77258688392675, 1000.6771391962552),
+        "fixpoint-0": ("685140ea36a3815d", 307, 253.75871800390348, 987.3076521488963),
+        "fixpoint-1": ("7c296cd4a07b9201", 307, 151.18213672009657, 602.3526059175002),
+    })
