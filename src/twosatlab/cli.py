@@ -117,7 +117,7 @@ def cmd_tree_bp(args, cfg):
         {
             "marginal": f"{q.numerator}/{q.denominator}",
             "marginal_float": float(q),
-            "log_likelihood": treebp.log_likelihood(t),
+            "log_likelihood": treebp.log_likelihood(q),
         },
         cfg,
     )

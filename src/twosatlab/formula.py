@@ -20,7 +20,7 @@ from typing import IO
 import numpy as np
 
 from .densityev import Kind, Population
-from .treebp import fold_factors, fold_up, product_pairs
+from .treebp import TYPE_INDEX, fold_factors, fold_up, product_pairs
 from .util import COMPONENT_CAP, ENUM_CAP, ResourceLimitError, substream
 
 _ELIM_WIDTH_CAP = 22
@@ -202,9 +202,7 @@ def _forest_pairs(gens: list) -> dict[int, tuple[int, int]]:
     ends = list(accumulate(len(level[0]) for level in levels))
     parents = [p + lo for lo, level in zip([0, *ends], levels[1:]) for p in level[1]]
     downs = [t for level in levels[1:] for t in level[2]]
-    prods = [[1] * ends[-1], [1] * ends[-1]]
-    fold_up(prods, parents, downs, ends[0])
-    p_prod, q_prod = prods
+    prods = p_prod, q_prod = fold_up(parents, downs, ends[0])
     for lo, hi, level in zip(ends, ends[1:], levels[1:]):
         rest = []
         lifted = product_pairs([p_prod[lo:hi], q_prod[lo:hi]])  # each pair within its subtree
@@ -313,7 +311,7 @@ def exact_marginals(
     adj: list[list] = [[] for _ in range(f.n + 1)]
     for row in f.clauses.tolist():  # on both ends, with its CLAUSE_TYPES index from each
         i, si, j, sj = row
-        ti, tj = 2 * (si < 0) + (sj < 0), 2 * (sj < 0) + (si < 0)
+        ti, tj = TYPE_INDEX[si, sj], TYPE_INDEX[sj, si]
         adj[i].append((j, ti, tj, row))
         adj[j].append((i, tj, ti, row))
     seen = [False] * (f.n + 1)

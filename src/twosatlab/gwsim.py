@@ -17,10 +17,10 @@ Sampled trees (`tree_marginal_samples`) are flat arrays, not node objects:
 each chunk draws from one generator, grows its forest a generation at a
 time on one node numbering (parents, live marks under survival
 conditioning, a depth cut), then draws the clause types once. One pass from
-the last node up (`treebp.fold_up`) gives the exact root pairs. A tree over
-node_cap nodes leaves the frontier once past the cap and comes back as
-None; tree sizes are tracked only once the chunk's total passes the cap. A
-depth-cut chunk holds at most _NODE_BUDGET nodes.
+the last node up (`treebp.fold_up`, the two-product rule) gives the exact
+root pairs. A tree over node_cap nodes leaves the frontier once past the cap
+and comes back as None; tree sizes are tracked only once the chunk's total
+passes the cap. A depth-cut chunk holds at most _NODE_BUDGET nodes.
 
 The float theta recursions (`coupled_increment_stats`,
 `survival_theta_population`) draw their Poisson packs Poissonized
@@ -318,8 +318,7 @@ def _forest_texts(parent, types, live, count: int) -> list[str]:
 
 def _forest_root_pairs(parent, types, count: int) -> list[tuple[int, int]]:
     """Exact root marginal (a, b) of each tree of a flat forest (`treebp.fold_up`)."""
-    prods = [[1] * (count + parent.size) for _ in range(2)]
-    fold_up(prods, parent.tolist(), types.tolist(), count)
+    prods = fold_up(parent.tolist(), types.tolist(), count)
     return product_pairs([p[:count] for p in prods])
 
 

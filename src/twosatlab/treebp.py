@@ -7,11 +7,16 @@ with sign s'. The root marginal of such a tree is always a rational in
 fraction as a root marginal, building each fraction's tree with its
 negation so that a/b shares at most b^2/4 distinct nodes. Every exact walk
 is one `fold`, which visits each distinct node once.
+
+Every exact marginal pair follows one rule, `fold_factors` on the integer
+products P = N+ D- and Q = N- D+, with two drivers: `root_marginal` folds
+node objects, and `fold_up` runs the rule inline over a flat forest.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import repeat
 from math import gcd, log
 from typing import NamedTuple
 
@@ -29,6 +34,7 @@ CLAUSE_TYPES = (
     ClauseType(-1, +1),
     ClauseType(-1, -1),
 )
+TYPE_INDEX = {ct: k for k, ct in enumerate(CLAUSE_TYPES)}  # the one place a type gets its index
 
 
 class TreeFormula:
@@ -48,38 +54,16 @@ class TreeFormula:
         return TreeFormula, (self.children,)
 
 
-def bp_pair(entries) -> tuple[int, int]:
-    """Marginal of a variable from its children, as a reduced pair (a, b) = a/b.
-
-    `entries` yields ((s, s'), (a_c, b_c)): the clause type above a child and
-    the child's own marginal a_c/b_c. The weight of setting the variable to
-    +1 is the product, over clauses in which it appears negated, of the
-    probability that the child satisfies the clause on its own;
-    symmetrically for -1. With the weights kept as integer ratios
-    N+/D+ and N-/D-, the marginal is N+D- / (N+D- + N-D+); a childless
-    variable gets (1, 2).
-    """
-    n_plus = d_plus = n_minus = d_minus = 1
-    for (s, sp), (a, b) in entries:
-        if s < 0:
-            n_plus *= a if sp > 0 else b - a
-            d_plus *= b
-        else:
-            n_minus *= a if sp > 0 else b - a
-            d_minus *= b
-    x = n_plus * d_minus
-    y = x + n_minus * d_plus
-    g = gcd(x, y)
-    return x // g, y // g
-
-
 def fold_factors(prods, targets, types, pairs) -> None:
-    """Multiply clause factors into node products in place, by `bp_pair`'s rule.
+    """Multiply clause factors into node products in place: the one BP rule.
 
-    prods holds two lists by node, P = N+ D- and Q = N- D+, so a node's
-    marginal is P/(P + Q). The marginal pairs[k] = (a, b) of a neighbour
-    enters node targets[k] through clause CLAUSE_TYPES[types[k]], whose
-    first sign is the target's.
+    A variable's weight for +1 is the product, over the clauses in which it
+    appears negated, of the probability N+/D+ that the neighbour satisfies
+    the clause on its own; symmetrically N-/D- for -1. prods holds two lists
+    by node, P = N+ D- and Q = N- D+, so a node's marginal is P/(P + Q), and
+    a node with no factor gets 1/2. The marginal pairs[k] = (a, b) of a
+    neighbour enters node targets[k] through clause CLAUSE_TYPES[types[k]],
+    whose first sign is the target's.
     """
     p_prod, q_prod = prods
     for v, t, (a, b) in zip(targets, types, pairs):
@@ -100,14 +84,15 @@ def product_pairs(prods) -> list[tuple[int, int]]:
     return out
 
 
-def fold_up(prods, parents, types, first: int) -> None:
-    """Upward pass of a flat forest in place: `product_pairs` and then
-    `fold_factors` per node, from the last node up. Node first + k hangs below
-    parents[k] < first + k through CLAUSE_TYPES[types[k]], so each node is
-    complete when its reduced pair a/b (c = b - a) enters its parent."""
-    p_prod, q_prod = prods
-    for v, p, t in zip(range(first + len(parents) - 1, first - 1, -1),
-                       reversed(parents), reversed(types)):
+def fold_up(parents, types, first: int):
+    """Products (P, Q) of every node of a flat forest by one upward pass:
+    `product_pairs` and then `fold_factors` per node, inline, from the last
+    node up. Node first + k hangs below parents[k] < first + k through
+    CLAUSE_TYPES[types[k]], so each node is complete when its reduced pair
+    a/b (c = b - a) enters its parent."""
+    n = first + len(parents)
+    prods = p_prod, q_prod = [1] * n, [1] * n
+    for v, p, t in zip(range(n - 1, first - 1, -1), reversed(parents), reversed(types)):
         a, c = p_prod[v], q_prod[v]
         g = gcd(a, c)
         if g > 1:
@@ -119,6 +104,7 @@ def fold_up(prods, parents, types, first: int) -> None:
         else:
             p_prod[p] *= c if t == 3 else a
             q_prod[p] *= a + c
+    return prods
 
 
 def fold(root, combine):
@@ -144,10 +130,17 @@ def fold(root, combine):
     return memo[id(root)]
 
 
+def _node_pair(kids) -> tuple[int, int]:
+    """Reduced pair of a node from its [(clause type, child's pair), ...]."""
+    prods = [1], [1]
+    fold_factors(prods, repeat(0), [TYPE_INDEX[ct] for ct, _ in kids], [ab for _, ab in kids])
+    return product_pairs(prods)[0]
+
+
 def root_marginal(t) -> Fraction:
-    """Exact root marginal by one `bp_pair` fold; works on any node with
-    `.children`."""
-    return Fraction(*fold(t, bp_pair))
+    """Exact root marginal by one `fold`, each node's children's pairs
+    combined by `fold_factors`; works on any node with `.children`."""
+    return Fraction(*fold(t, _node_pair))
 
 
 def negate(t: TreeFormula) -> TreeFormula:
@@ -205,9 +198,8 @@ def construct_rational_tree(a: int, b: int) -> TreeFormula:
     return memo[root][0]
 
 
-def log_likelihood(t: TreeFormula) -> float:
-    """Log-odds of the exact root marginal, log(q/(1-q)), as a float."""
-    q = root_marginal(t)
+def log_likelihood(q: Fraction) -> float:
+    """Log-odds log(q/(1-q)) of an exact marginal q, as a float."""
     return log(q.numerator) - log(q.denominator - q.numerator)
 
 

@@ -31,7 +31,6 @@ from twosatlab.gwsim import (
 from twosatlab.densityev import psi
 from twosatlab.treebp import (
     CLAUSE_TYPES,
-    bp_pair,
     construct_rational_tree,
     fold,
     format_tree,
@@ -41,6 +40,7 @@ from twosatlab.treebp import (
 from twosatlab import gwsim
 from twosatlab.util import ResourceLimitError, substream
 from test_numerics import log_clause_term
+from test_treebp import bp_pair
 
 CASES = ("none", "extinct", "survive")
 
@@ -357,8 +357,9 @@ def test_extinct_oversize_policy():
 
 @pytest.mark.parametrize("d", [0.5, 0.8, 1.5, 1.9])
 def test_forest_pairs_match_tree_bp(d):
-    # the integer pair pass against Fraction BP on the same trees rebuilt as
-    # TreeFormula trees, and the text form against format_tree, in every case
+    # the integer pair pass against the `bp_pair` oracle on the same trees
+    # rebuilt as TreeFormula trees, and the text form against format_tree,
+    # in every case
     for conditioned, depth, count in (("extinct", None, 2500), ("none", 5, 600),
                                       ("survive", 5, 200)):
         if conditioned == "survive" and d < 1:
@@ -374,8 +375,7 @@ def test_forest_pairs_match_tree_bp(d):
         pairs = _forest_root_pairs(parent, types, count)
         # flat layout: parents ascend, and each node comes after its parent
         assert (np.diff(parent) >= 0).all() and (parent < count + np.arange(parent.size)).all()
-        assert [Fraction(a, b) for a, b in pairs] == [root_marginal(r) for r in roots]
-        assert all(math.gcd(a, b) == 1 for a, b in pairs)
+        assert pairs == [fold(r, bp_pair) for r in roots]
 
 
 def test_forest_cap_drops_exactly_the_oversize_trees():
@@ -465,17 +465,16 @@ def test_depth_cut_samples_worker_invariant(conditioned):
 
 
 def test_flat_fold_matches_root_marginal_bit_for_bit():
-    # the one-pass pair fold against Fraction BP on the same trees rebuilt
-    # as TreeFormula trees, on forests of every law and on a chain 10^4 deep
-    # with random clause types, where the pairs run to thousands of bits
+    # the one-pass pair fold against the `bp_pair` oracle on the same trees
+    # rebuilt as TreeFormula trees, on forests of every law and on a chain
+    # 10^4 deep with random clause types, where the pairs run to thousands of bits
     forests = [(grow(conditioned, 1.5, 300, seed=60, depth=depth), 300)
                for conditioned, depth in (("extinct", None), ("none", 6), ("survive", 5))]
     depth = 10_000
     chain = (np.arange(depth), substream(61, 0).integers(0, 4, size=depth, dtype=np.int8))
     for (parent, types, *_), count in [*forests, (chain, 1)]:
         pairs = _forest_root_pairs(parent, types, count)
-        want = [root_marginal(r) for r in forest_trees(parent, types, count)]
-        assert pairs == [(q.numerator, q.denominator) for q in want]
+        assert pairs == [fold(r, bp_pair) for r in forest_trees(parent, types, count)]
     assert pairs[0][1].bit_length() > 1000
 
 

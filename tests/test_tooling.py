@@ -51,6 +51,21 @@ def test_seed_sequence_only_in_substream():
     assert _owners(draw_62_bits) == [("util.py", "subseed")]
 
 
+def test_one_memoised_walk_and_one_pair_rule():
+    # `treebp.fold` is the only walk keyed by node identity, and the per-node
+    # pair rule `bp_pair` lives in the tests as the oracle of the two-product
+    # rule: a second walk or a second rule in `src/` would drift apart
+    def id_call(node):
+        return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "id")
+
+    def bp_pair(node):
+        return isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name == "bp_pair"
+
+    assert set(_owners(id_call)) == {("treebp.py", "fold")}
+    assert _owners(bp_pair) == []
+
+
 def test_every_export_has_a_caller_outside_the_tests():
     # an export that only the tests use is a layer to delete, or an oracle to
     # move into the tests; the benchmark script is read, never written

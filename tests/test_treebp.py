@@ -26,6 +26,31 @@ from twosatlab.treebp import expanded_size, fold
 from twosatlab.util import EXPAND_CAP, substream
 
 
+def bp_pair(entries) -> tuple[int, int]:
+    """Marginal of a variable from its children, as a reduced pair (a, b) = a/b.
+
+    `entries` yields ((s, s'), (a_c, b_c)): the clause type above a child and
+    the child's own marginal a_c/b_c. The weight of setting the variable to
+    +1 is the product, over clauses in which it appears negated, of the
+    probability that the child satisfies the clause on its own;
+    symmetrically for -1. With the weights kept as integer ratios
+    N+/D+ and N-/D-, the marginal is N+D- / (N+D- + N-D+); a childless
+    variable gets (1, 2).
+    """
+    n_plus = d_plus = n_minus = d_minus = 1
+    for (s, sp), (a, b) in entries:
+        if s < 0:
+            n_plus *= a if sp > 0 else b - a
+            d_plus *= b
+        else:
+            n_minus *= a if sp > 0 else b - a
+            d_minus *= b
+    x = n_plus * d_minus
+    y = x + n_minus * d_plus
+    g = math.gcd(x, y)
+    return x // g, y // g
+
+
 def test_isolated_root():
     assert root_marginal(TreeFormula()) == Fraction(1, 2)
 
@@ -41,6 +66,16 @@ def test_join_formula():
     assert root_marginal(join(TreeFormula(), TreeFormula())) == Fraction(1, 2)
     t14 = construct_rational_tree(1, 4)
     assert root_marginal(join(t14, negate(t14))) == Fraction(1, 4)
+
+
+def test_root_marginal_matches_the_oracle():
+    # the shared two-product rule against the plain per-node form, exactly
+    rng = substream(4, 7)
+    trees = [random_tree(rng, 40) for _ in range(200)]
+    trees += [construct_rational_tree(a, b) for b in range(2, 31) for a in range(1, b)
+              if math.gcd(a, b) == 1]
+    for t in [*trees, construct_rational_tree(250, 501)]:
+        assert root_marginal(t) == Fraction(*fold(t, bp_pair))
 
 
 def test_negate_examples():
@@ -204,16 +239,15 @@ def test_construct_shared_representation_small():
 
 
 def test_log_likelihood():
-    assert log_likelihood(TreeFormula()) == 0.0
-    assert log_likelihood(construct_rational_tree(1, 3)) == pytest.approx(
+    assert log_likelihood(root_marginal(TreeFormula())) == 0.0
+    assert log_likelihood(root_marginal(construct_rational_tree(1, 3))) == pytest.approx(
         math.log(0.5), abs=1e-12
     )
     rng = substream(4, 4)
     for _ in range(50):
         t = random_tree(rng, 25)
-        assert log_likelihood(t) + log_likelihood(negate(t)) == pytest.approx(
-            0.0, abs=1e-9
-        )
+        assert log_likelihood(root_marginal(t)) + log_likelihood(
+            root_marginal(negate(t))) == pytest.approx(0.0, abs=1e-9)
 
 
 def test_to_formula_examples():
