@@ -16,6 +16,7 @@ from twosatlab.densityev import fixpoint
 from twosatlab.formula import exact_marginals, generate_formula, marginals_to_json
 from twosatlab.gwsim import (coupled_increment_stats, extinct_marginal_samples,
                              survival_theta_population, tree_marginal_samples)
+from twosatlab.treebp import construct_rational_tree, format_tree
 
 SRC = Path(twosatlab.__file__).parent
 BENCHMARK = Path(__file__).resolve().parents[1] / "benchmarks" / "run.py"
@@ -135,7 +136,7 @@ def _assert_pinned(got: dict, want: dict):
         assert got[key][2:] == pytest.approx((total, weighted), rel=1e-9, abs=0), key
 
 
-_RUNS = (  # (name, argv, artifacts); each run reads only what earlier runs wrote
+_RUNS = (  # (name, argv, artifacts); a run reads t.txt or what earlier runs wrote
     ("gen", "gen --n 60 --d 1.2 --seed 4 --out f.txt", ["f.txt"]),
     ("gen-small", "gen --n 12 --d 1.0 --seed 5 --out g.txt", ["g.txt"]),
     ("count", "count --in g.txt", []),
@@ -167,15 +168,11 @@ def test_subcommand_outputs_are_pinned(tmp_path, monkeypatch, capsys):
     # stdout and every artifact of each subcommand at small sizes, one worker:
     # a rework that claims identical outputs must leave every fingerprint alone
     monkeypatch.chdir(tmp_path)
+    (tmp_path / "t.txt").write_text(format_tree(construct_rational_tree(7, 19)) + "\n")
     got = {}
     for name, argv, artifacts in _RUNS:
-        if name == "tree-bp":
-            (tmp_path / "t.txt").write_text(got_tree + "\n")
         assert main([*shlex.split(argv), "--workers", "1"]) == 0, name
-        out = capsys.readouterr().out
-        if name == "construct-tree":
-            got_tree = out.splitlines()[0]
-        got[name] = _fingerprint(out)
+        got[name] = _fingerprint(capsys.readouterr().out)
         got.update((path, _fingerprint((tmp_path / path).read_text())) for path in artifacts)
     _assert_pinned(got, {
         "gen": ("c4d7790ff841d4c6", 1, 1.2, 1.2),
