@@ -1,9 +1,9 @@
 """Acceptance suite: every gate criterion with its pinned tolerance.
 
 Each criterion is a named check returning (passed, detail); `run_all`
-executes them in order, numbers them by position, prints one pass/fail line
-per criterion, and shares heavy artifacts (sample pools, fixed points)
-between criteria through a context.
+executes them in order, numbers them by position, and shares heavy
+artifacts (sample pools) between criteria through a context; each result's
+`line()` is its one pass/fail line.
 Quick mode shrinks Monte Carlo sample counts but keeps every tolerance.
 """
 
@@ -205,7 +205,6 @@ def fixpoint_consistency(ctx: Context) -> tuple[bool, str]:
     mu_ll = psi_push(res_ll.population)
     ctx.watch_floats("LL fixpoint psi-push", mu_ll.samples)
     ctx.watch_floats("DE fixpoint", res_de.population.samples)
-    ctx.artifacts["fixpoint_mu"] = mu_ll
     w1 = compare_distributions(mu_ll, res_de.population)["w1"]
     ok = w1 <= FIXPOINT_W1_TOL and res_ll.converged and res_de.converged
     return ok, f"W1(psi(LL fix), DE fix) = {w1:.4f} <= {FIXPOINT_W1_TOL}"
@@ -314,8 +313,6 @@ def _run_main(argv: list[str], workdir: str) -> tuple[int, bytes, str]:
     try:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(argv)
-    except SystemExit as exc:  # argparse rejected the arguments
-        code = exc.code
     except Exception:  # a crash fails the check with its traceback, as a launch did
         err.write(traceback.format_exc())
         code = 1
@@ -387,7 +384,7 @@ CRITERIA = [
 
 
 def run_all(quick: bool = False, workers: int | None = None,
-            base_seed: int = 20240801, report=print) -> list[CriterionResult]:
+            base_seed: int = 20240801) -> list[CriterionResult]:
     # in order: criterion 9 aggregates the marginals that 1..8 pass to
     # ctx.watch_*, and 10..12 pass none
     ctx = Context(sizes=QUICK_SIZES if quick else FULL_SIZES, seed=base_seed,
@@ -398,7 +395,4 @@ def run_all(quick: bool = False, workers: int | None = None,
         passed, detail = check(ctx)
         ordered.append(CriterionResult(number, name, passed, detail,
                                        time.perf_counter() - start))
-    if report is not None:
-        for res in ordered:
-            report(res.line())
     return ordered

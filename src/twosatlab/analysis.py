@@ -95,26 +95,21 @@ def _check_window(window: float, max_den: int) -> None:
 def detect_atoms(
     samples, window: float = 1e-9, max_den: int = 1024, min_count: int = 1
 ) -> AtomReport:
-    """Atom estimates for a sample population.
+    """Atom estimates for a MU Population or a list of Fractions.
 
-    Exact-rational inputs (a sequence of Fractions) are tallied per value,
-    no windowing. Real inputs are sorted, split into clusters at gaps wider
-    than `window`, and each cluster center is snapped to the nearest
-    fraction with denominator <= max_den; clusters that are too small or
-    do not snap within the window land in residual_mass.
+    Fractions are tallied per value, no windowing. A population's samples
+    are sorted, split into clusters at gaps wider than `window`, and each
+    cluster center is snapped to the nearest fraction with denominator <=
+    max_den; clusters that are too small or do not snap within the window
+    land in residual_mass.
     """
     _check_window(window, max_den)
-    if isinstance(samples, Population):
-        if samples.kind is not Kind.MU:
-            raise ValueError("detect_atoms expects MU samples")
-        values = samples.samples
-        exact = False
-    elif len(samples) and isinstance(samples[0], Fraction):
-        values = samples
-        exact = True
+    if isinstance(samples, Population) and samples.kind is Kind.MU:
+        values, exact = samples.samples, False
+    elif isinstance(samples, list) and set(map(type, samples)) <= {Fraction}:
+        values, exact = samples, True
     else:
-        values = np.asarray(samples, dtype=float)
-        exact = False
+        raise ValueError("detect_atoms takes a MU Population or a list of Fractions")
 
     n = len(values)
     if n == 0:
@@ -263,14 +258,10 @@ def compare_distributions(a: Population, b: Population) -> dict[str, float]:
 
 
 def support_coverage(p: Population, bins: int) -> dict[str, int]:
-    """Count nonempty equal-width bins over [0,1] (MU) or the sample range (THETA)."""
+    """Count nonempty equal-width bins of a MU population over [0,1]."""
     if bins < 2:
         raise ValueError("bins must be >= 2")
-    if p.kind is Kind.MU:
-        lo, hi = 0.0, 1.0
-    else:
-        lo, hi = float(p.samples.min()), float(p.samples.max())
-        if lo == hi:
-            return {"nonempty": 1, "total": bins}
-    hist, _ = np.histogram(p.samples, bins=bins, range=(lo, hi))
+    if p.kind is not Kind.MU:
+        raise ValueError("support_coverage expects MU samples")
+    hist, _ = np.histogram(p.samples, bins=bins, range=(0.0, 1.0))
     return {"nonempty": int(np.count_nonzero(hist)), "total": int(bins)}

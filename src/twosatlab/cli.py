@@ -33,6 +33,13 @@ EXIT_RESOURCE = 3
 _NOT_PARAMS = {"func", "out", "emit_trace", "hist", "subcommand", "seed", "workers"}
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises argparse's message as a ValueError, so `main` returns its exit 2."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 def _positive_int(text: str) -> int:
     if int(text) < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {text}")
@@ -105,8 +112,6 @@ def cmd_marginals(args, cfg):
 
 
 def cmd_tree_bp(args, cfg):
-    if args.tree is None and args.infile is None:
-        raise ValueError("pass a tree with --tree or --in")
     if args.tree is not None:
         t = treebp.parse_tree(args.tree)
     else:
@@ -279,6 +284,8 @@ def cmd_verify(args, cfg) -> int:
     from . import acceptance
 
     results = acceptance.run_all(quick=args.quick, workers=args.workers, base_seed=args.seed)
+    for r in results:
+        print(r.line())
     for r in results:  # timings on stderr: stdout stays byte-identical
         print(f"C{r.number:02d} {r.seconds:.3f} s", file=sys.stderr)
     return EXIT_VERIFY_FAIL if any(not r.passed for r in results) else EXIT_OK
@@ -288,7 +295,7 @@ def cmd_verify(args, cfg) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="twosatlab",
         description="simulation and exact-computation lab for random 2-SAT marginals",
     )
@@ -317,8 +324,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
 
     p = add("tree-bp", cmd_tree_bp, help="root marginal of a serialized tree")
-    p.add_argument("--tree", default=None)
-    p.add_argument("--in", dest="infile", default=None)
+    tree = p.add_mutually_exclusive_group(required=True)
+    tree.add_argument("--tree")
+    tree.add_argument("--in", dest="infile")
 
     p = add("construct-tree", cmd_construct_tree,
             help="build a tree with the given root marginal, e.g. 2/5")

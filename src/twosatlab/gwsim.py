@@ -49,6 +49,8 @@ from .util import ResourceLimitError, chunk_sizes, parallel_map, subseed, substr
 
 _NODE_CAP = 20_000_000
 _NODE_BUDGET = 1 << 24  # nodes of one chunk of depth-cut trees
+_FOREST_CHUNK = 2000  # trees per chunk of a sampled forest
+_THETA_CHUNK = 4096  # trees per chunk of the theta recursion
 
 
 @dataclass(frozen=True)
@@ -59,25 +61,23 @@ class ExtinctionInfo:
 
 
 @lru_cache
-def extinction_probability(d: float, tol: float = 1e-12) -> ExtinctionInfo:
+def extinction_probability(d: float) -> ExtinctionInfo:
     """Smallest fixed point of eta -> exp(d*(eta-1)) in (0,1].
 
     Equals 1 exactly for d <= 1; for d > 1 monotone iteration from 0
     converges geometrically at rate d*eta < 1, and the stopping rule turns
-    the step size into a true-error bound via the geometric tail. Memoised
-    per (d, tol): the samplers ask once per call, and the result is frozen.
+    the step size into a true-error bound of 1e-12 via the geometric tail.
+    Memoised per d: the samplers ask once per call, and the result is frozen.
     """
     if not 0 < d < 2:
         raise ValueError(f"need d in (0,2), got {d}")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     if d <= 1.0:
         return ExtinctionInfo(d=d, eta=1.0, zeta=0.0)
     eta = 0.0
     for _ in range(1_000_000):
         nxt = math.exp(d * (eta - 1.0))
         rate = min(d * nxt, 0.999999)
-        if abs(nxt - eta) * rate / (1.0 - rate) <= tol:
+        if abs(nxt - eta) * rate / (1.0 - rate) <= 1e-12:
             eta = nxt
             break
         eta = nxt
@@ -173,7 +173,6 @@ def coupled_increment_stats(
     L: int,
     N: int,
     seed: int,
-    chunk: int = 4096,
     workers: int | None = None,
 ) -> list[tuple[int, float]]:
     """Mean |theta^(l+1) - theta^(l)| over N independent trees, l = 0..L.
@@ -188,7 +187,7 @@ def coupled_increment_stats(
         raise ValueError("N must be >= 1")
     specs = [
         (d, L, c, subseed(seed, 0x70, k))
-        for k, c in enumerate(chunk_sizes(N, chunk))
+        for k, c in enumerate(chunk_sizes(N, _THETA_CHUNK))
     ]
     sums = sum(parallel_map(_increment_chunk, specs, workers=workers))
     return [(l, float(sums[l] / N)) for l in range(L + 1)]
@@ -341,7 +340,6 @@ def tree_marginal_samples(
     seed: int,
     conditioned: str = "extinct",
     depth: int | None = None,
-    chunk: int = 2000,
     workers: int | None = None,
     node_cap: int = _NODE_CAP,
     dump: bool = False,
@@ -355,8 +353,8 @@ def tree_marginal_samples(
     generations below its root; only extinct trees may stay complete
     (depth None). A tree that outgrows node_cap comes back as None. With
     dump, the second list holds each tree's `treebp.format_tree` text, "!"
-    marking live nodes; otherwise it is empty. The results depend on seed
-    and chunk, never on workers.
+    marking live nodes; otherwise it is empty. The results depend on the
+    seed, never on workers.
     """
     if conditioned not in _FOREST_TAGS:
         raise ValueError(f"conditioned must be one of {sorted(_FOREST_TAGS)}, got {conditioned!r}")
@@ -371,7 +369,7 @@ def tree_marginal_samples(
     lam = d if conditioned == "none" else d * info.eta
     live_lam = d * info.zeta if conditioned == "survive" else None
     specs = [(_FOREST_TAGS[conditioned], lam, live_lam, depth, c, seed, k, node_cap, dump)
-             for k, c in enumerate(chunk_sizes(n, chunk))]
+             for k, c in enumerate(chunk_sizes(n, _FOREST_CHUNK))]
     parts = parallel_map(_forest_chunk, specs, workers=workers)
     return [q for part, _ in parts for q in part], [text for _, lines in parts for text in lines]
 
@@ -380,7 +378,6 @@ def extinct_marginal_samples(
     d: float,
     n: int,
     seed: int,
-    chunk: int = 2000,
     workers: int | None = None,
     node_cap: int = _NODE_CAP,
 ) -> list[Fraction | None]:
@@ -390,5 +387,4 @@ def extinct_marginal_samples(
     without biasing atom-mass estimates upward; with the default cap this
     never happens away from d = 1.
     """
-    return tree_marginal_samples(d, n, seed, chunk=chunk, workers=workers,
-                                 node_cap=node_cap)[0]
+    return tree_marginal_samples(d, n, seed, workers=workers, node_cap=node_cap)[0]

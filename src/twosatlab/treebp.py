@@ -258,11 +258,12 @@ _SIGNS = {"+": 1, "-": -1}
 
 
 def parse_tree(text: str) -> TreeFormula:
-    """Inverse of `format_tree`; iterative, so nesting depth is unbounded.
+    """Inverse of `format_tree`; iterative, so nesting depth is unbounded. An
+    edge label may touch the `v` before it, as in "(v[-+](v))".
 
     Raises ValueError on any text that is not exactly one well-formed tree.
     """
-    toks = text.replace("(", " ( ").replace(")", " ) ").split()
+    toks = text.replace("(", " ( ").replace(")", " ) ").replace("[", " [").split()
     # open nodes, outermost first: (children read so far, clause type above)
     stack: list[tuple[list, ClauseType | None]] = []
     edge = None

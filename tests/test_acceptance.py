@@ -12,7 +12,7 @@ from twosatlab.acceptance import CRITERIA, run_all
 
 @pytest.fixture(scope="session")
 def results():
-    out = run_all(quick=False, workers=None, base_seed=20240801, report=None)
+    out = run_all(quick=False, workers=None, base_seed=20240801)
     return {r.number: r for r in out}
 
 

@@ -120,6 +120,11 @@ def test_detect_atoms_validates():
         detect_atoms([Fraction(1, 2)], window=0.0)
     with pytest.raises(ValueError):
         detect_atoms([Fraction(1, 2)], max_den=1)
+    # a MU Population or a list of Fractions, nothing else
+    theta = Population(samples=np.full(10, 0.5), kind=Kind.THETA)
+    for bad in (np.full(10, 0.5), [0.5] * 10, [Fraction(1, 2), 0.5], theta):
+        with pytest.raises(ValueError, match="a MU Population or a list of Fractions"):
+            detect_atoms(bad)
 
 
 def test_max_cluster_mass():
@@ -148,7 +153,8 @@ def test_support_coverage_examples():
     grid = Population(samples=np.arange(1, 100) / 100.0, kind=Kind.MU)
     assert support_coverage(grid, 10) == {"nonempty": 10, "total": 10}
     theta = Population(samples=np.array([-5.0, 0.0, 5.0]), kind=Kind.THETA)
-    assert support_coverage(theta, 2) == {"nonempty": 2, "total": 2}
+    with pytest.raises(ValueError, match="MU"):
+        support_coverage(theta, 2)
     with pytest.raises(ValueError):
         support_coverage(half, 1)
 

@@ -150,16 +150,18 @@ def test_extinction_subcritical():
 )
 def test_extinction_supercritical(d, expected):
     # frozen from iterating eta -> exp(d*(eta-1)) to machine precision
-    info = extinction_probability(d, tol=1e-10)
+    info = extinction_probability(d)
     assert info.eta == pytest.approx(expected, abs=1e-8)
     assert abs(info.eta - math.exp(d * (info.eta - 1.0))) <= 1e-9
     assert info.zeta == pytest.approx(1.0 - expected, abs=1e-8)
 
 
 def test_extinction_probability_is_memoised():
-    # one frozen instance per (d, tol): the samplers ask on every call
+    # one frozen instance per d: the samplers ask on every call
     assert extinction_probability(1.5) is extinction_probability(1.5)
-    assert extinction_probability(1.5, 1e-10) is not extinction_probability(1.5)
+    assert extinction_probability(1.9) is not extinction_probability(1.5)
+    with pytest.raises(TypeError):  # the tolerance is fixed at 1e-12
+        extinction_probability(1.5, 1e-10)
 
 
 def test_extinction_validates():
@@ -447,21 +449,22 @@ def test_extinct_marginals_oversize_share_matches_borel_law():
 
 
 def test_extinct_marginals_worker_invariant():
-    one = extinct_marginal_samples(0.8, 500, seed=3, chunk=100, workers=1)
-    two = extinct_marginal_samples(0.8, 500, seed=3, chunk=100, workers=2)
-    assert one == two and len(one) == 500
+    # 4500 trees are three chunks of 2000
+    one = extinct_marginal_samples(0.8, 4500, seed=3, workers=1)
+    two = extinct_marginal_samples(0.8, 4500, seed=3, workers=2)
+    assert one == two and len(one) == 4500
 
 
 @pytest.mark.parametrize("conditioned", ["none", "survive"])
 def test_depth_cut_samples_worker_invariant(conditioned):
-    # each chunk seeds its own generator, so values and dumps of five chunks
+    # each chunk seeds its own generator, so values and dumps of two chunks
     # come back the same from one process and from a pool of two
-    one = tree_marginal_samples(1.5, 250, 4, conditioned, 4, chunk=50, workers=1, dump=True)
-    two = tree_marginal_samples(1.5, 250, 4, conditioned, 4, chunk=50, workers=2, dump=True)
-    assert one == two and len(one[0]) == len(one[1]) == 250
+    one = tree_marginal_samples(1.5, 2500, 4, conditioned, 4, workers=1, dump=True)
+    two = tree_marginal_samples(1.5, 2500, 4, conditioned, 4, workers=2, dump=True)
+    assert one == two and len(one[0]) == len(one[1]) == 2500
     # and a chunk's trees depend on its index, not on the chunks beside it
-    assert tree_marginal_samples(1.5, 100, 4, conditioned, 4, chunk=50, dump=True) == (
-        one[0][:100], one[1][:100])
+    assert tree_marginal_samples(1.5, 2000, 4, conditioned, 4, dump=True) == (
+        one[0][:2000], one[1][:2000])
 
 
 def test_flat_fold_matches_root_marginal_bit_for_bit():
@@ -495,11 +498,11 @@ def test_depth_cut_chunk_budget(monkeypatch):
 @pytest.mark.parametrize("conditioned", CASES)
 def test_tree_texts_parse_to_their_marginals(conditioned):
     depth = None if conditioned == "extinct" else 4
-    vals, texts = tree_marginal_samples(1.5, 150, 7, conditioned, depth, chunk=60, dump=True)
+    vals, texts = tree_marginal_samples(1.5, 150, 7, conditioned, depth, dump=True)
     assert len(vals) == len(texts) == 150
     assert [root_marginal(parse_tree(text)) for text in texts] == vals
     assert all(text.startswith("(v!") == (conditioned == "survive") for text in texts)
-    assert tree_marginal_samples(1.5, 150, 7, conditioned, depth, chunk=60) == (vals, [])
+    assert tree_marginal_samples(1.5, 150, 7, conditioned, depth) == (vals, [])
 
 
 def test_tree_marginal_samples_validate():
@@ -758,8 +761,9 @@ def test_forest_theta_matrix_matches_oracle_bit_for_bit(d):
 
 
 def test_increment_stats_worker_invariant():
-    one = coupled_increment_stats(1.5, 4, 3000, seed=13, chunk=700, workers=1)
-    two = coupled_increment_stats(1.5, 4, 3000, seed=13, chunk=700, workers=2)
+    # 9000 trees are three chunks of 4096
+    one = coupled_increment_stats(1.5, 4, 9000, seed=13, workers=1)
+    two = coupled_increment_stats(1.5, 4, 9000, seed=13, workers=2)
     assert one == two
 
 

@@ -280,6 +280,9 @@ def test_serialization_example():
     t = construct_rational_tree(1, 3)
     assert format_tree(t) == "(v [-+](v))"
     assert root_marginal(parse_tree("(v [-+](v))")) == Fraction(1, 3)
+    # an edge label may touch the v before it
+    assert root_marginal(parse_tree("(v[-+](v))")) == Fraction(1, 3)
+    assert root_marginal(parse_tree("(v![++](v))")) == Fraction(2, 3)
 
 
 def test_serialization_roundtrip():
