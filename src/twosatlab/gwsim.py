@@ -50,7 +50,7 @@ from .util import ResourceLimitError, chunk_sizes, parallel_map, subseed, substr
 _NODE_CAP = 20_000_000
 _NODE_BUDGET = 1 << 24  # nodes of one chunk of depth-cut trees
 _FOREST_CHUNK = 2000  # trees per chunk of a sampled forest
-_THETA_CHUNK = 4096  # trees per chunk of the theta recursion
+_THETA_CELLS = 1 << 18  # expected (node, cut depth) cells of one theta chunk
 
 
 @dataclass(frozen=True)
@@ -121,6 +121,13 @@ def tree_probability(t, d: float) -> float:
 # -- batched theta recursions ---------------------------------------------------
 
 
+def _theta_chunk(d: float, L: int) -> int:
+    """Trees per theta chunk: as many as fit _THETA_CELLS expected cells,
+    generation g holding d^g nodes per tree at L+2-g cut depths each."""
+    cells = sum(d**g * (L + 2 - g) for g in range(L + 2))
+    return max(1, int(_THETA_CELLS // cells))
+
+
 def _forest_theta_matrix(d: float, L: int, count: int, seed: int) -> np.ndarray:
     """Root theta values of `count` independent trees at all depths 0..L+1.
 
@@ -130,6 +137,11 @@ def _forest_theta_matrix(d: float, L: int, count: int, seed: int) -> np.ndarray:
     Row l of a level holds its nodes' theta at cut depth l; the depth-1 row
     needs no transcendental. Column j of the result is tree j at every depth
     of one realization, which couples successive depths.
+
+    Every level is computed in one workspace allocated up front, four
+    edge-length rows and two `up` buffers that alternate between levels,
+    with each ufunc writing through `out=`: fresh pages cost more than the
+    arithmetic.
     """
     rng = substream(seed, 0x7F)
     top = L + 1
@@ -140,23 +152,41 @@ def _forest_theta_matrix(d: float, L: int, count: int, seed: int) -> np.ndarray:
         edges.append((parent, rng.integers(0, 4, size=parent.size, dtype=np.int8)))
         sizes.append(parent.size)
 
-    theta = np.zeros((1, sizes[top]))
+    # one allocation: as the largest block a chunk frees, it lifts glibc's dynamic trim
+    # threshold above the chunk's whole footprint, so later chunks reuse its pages
+    edge_len, span = max(sizes[1:]), max((top - g + 1) * sizes[g] for g in range(top))
+    work = np.empty(4 * edge_len + 2 * span)
+    rows = work[:4 * edge_len].reshape(4, edge_len)  # per edge: s, then -s; -s'; x; softplus
+    # generation g writes bufs[g % 2] and reads the theta rows of g + 1 from the other;
+    # the last generation's theta, all zero, enters only through the depth-1 row
+    bufs = work[4 * edge_len:].reshape(2, span)
     for g in range(top - 1, -1, -1):
         parent, code = edges[g]
-        up = np.zeros((top - g + 1, sizes[g]))
-        if parent.size:
-            s = (code & 1) * 2.0 - 1.0
-            # cut depth 1 sees every child at theta 0, where the term is -log 2
-            up[1] = -math.log(2.0) * np.bincount(parent, weights=s, minlength=sizes[g])
-        if parent.size and up.shape[0] > 2:
-            neg_sp, neg_s = 1.0 - (code >> 1) * 2.0, -s
-            for j in range(2, up.shape[0]):
-                # s * clause term of (theta, s') by `clause_table`'s float operations,
-                # with fewer fresh temporaries: new pages cost more than the arithmetic
-                x = np.maximum(neg_sp * theta[j - 1], 0.0)
-                x += np.log1p(np.exp(-np.abs(theta[j - 1])))
-                x *= neg_s
-                up[j] = np.bincount(parent, weights=x, minlength=sizes[g])
+        n = sizes[g]
+        up = bufs[g % 2, :(top - g + 1) * n].reshape(top - g + 1, n)
+        if not parent.size:
+            up.fill(0.0)
+            theta = up
+            continue
+        up[0].fill(0.0)
+        s, neg_sp, x, soft = rows[:, :parent.size]
+        np.multiply(code & 1, 2.0, out=s)
+        s -= 1.0
+        # cut depth 1 sees every child at theta 0, where the term is -log 2
+        np.multiply(np.bincount(parent, weights=s, minlength=n), -math.log(2.0), out=up[1])
+        np.multiply(code >> 1, -2.0, out=neg_sp)
+        neg_sp += 1.0
+        np.negative(s, out=s)
+        for j in range(2, top - g + 1):
+            # s * clause term of (theta, s') by `clause_table`'s float operations
+            np.multiply(neg_sp, theta[j - 1], out=x)
+            np.maximum(x, 0.0, out=x)
+            np.copysign(theta[j - 1], -1.0, out=soft)  # -|theta|
+            np.exp(soft, out=soft)
+            np.log1p(soft, out=soft)
+            x += soft
+            x *= s
+            up[j] = np.bincount(parent, weights=x, minlength=n)
         theta = up
     return theta  # shape (L+2, count)
 
@@ -179,15 +209,19 @@ def coupled_increment_stats(
 
     Each tree is truncated at depth 2(L+1) and all its truncation-depth
     marginals come from the same realization, so successive increments
-    measure the one-step contraction of the recursion.
+    measure the one-step contraction of the recursion. The trees come in
+    chunks of `_theta_chunk(d, L)`, each from its own seed, so the result
+    depends on the seed, never on workers.
     """
+    if not 0 < d < 2:
+        raise ValueError(f"need d in (0,2), got {d}")
     if L < 2:
         raise ValueError("L must be >= 2")
     if N < 1:
         raise ValueError("N must be >= 1")
     specs = [
         (d, L, c, subseed(seed, 0x70, k))
-        for k, c in enumerate(chunk_sizes(N, _THETA_CHUNK))
+        for k, c in enumerate(chunk_sizes(N, _theta_chunk(d, L)))
     ]
     sums = sum(parallel_map(_increment_chunk, specs, workers=workers))
     return [(l, float(sums[l] / N)) for l in range(L + 1)]

@@ -17,6 +17,7 @@ from twosatlab import (
     tree_marginal_samples,
     tree_probability,
 )
+from twosatlab.acceptance import INCREMENT_DENSITIES
 from twosatlab.densityev import Kind, Population, poisson_owners
 from twosatlab.analysis import compare_distributions
 from twosatlab.gwsim import (
@@ -26,6 +27,7 @@ from twosatlab.gwsim import (
     _forest_theta_matrix,
     _grow_forest,
     _increment_chunk,
+    _theta_chunk,
     from_tree_formula,
 )
 from twosatlab.densityev import psi
@@ -750,7 +752,10 @@ def forest_theta_matrix_oracle(d, L, count, seed):
 @pytest.mark.parametrize("d", [1e-6, 0.5, 1.0, 1.5, 1.9])
 def test_forest_theta_matrix_matches_oracle_bit_for_bit(d):
     for seed in range(3):
-        for L, count in ((2, 1), (3, 700), (6, 2000), (8, 300)):
+        # odd and even L run the two `up` buffers from opposite ends; the L = 6 budget
+        # chunk is the size the gate and the benchmark run
+        for L, count in ((2, 1), (3, 700), (6, 2000), (8, 300), (5, 900),
+                         (6, _theta_chunk(d, 6))):
             got = _forest_theta_matrix(d, L, count, seed)
             want = forest_theta_matrix_oracle(d, L, count, seed)
             assert got.shape == want.shape == (L + 2, count)
@@ -760,10 +765,21 @@ def test_forest_theta_matrix_matches_oracle_bit_for_bit(d):
             assert sums.tobytes() == np.abs(np.diff(want, axis=0)).sum(axis=1).tobytes()
 
 
+def test_theta_chunks_follow_the_cell_budget():
+    for d in (1e-6, *INCREMENT_DENSITIES):
+        for L in (2, 6, 8):
+            cells = sum(d**g * (L + 2 - g) for g in range(L + 2))
+            chunk = _theta_chunk(d, L)
+            assert chunk >= 1
+            assert chunk == 1 or chunk * cells <= gwsim._THETA_CELLS < (chunk + 1) * cells
+    assert [_theta_chunk(d, 6) for d in INCREMENT_DENSITIES] == [18714, 7281, 1989, 677]
+
+
 def test_increment_stats_worker_invariant():
-    # 9000 trees are three chunks of 4096
-    one = coupled_increment_stats(1.5, 4, 9000, seed=13, workers=1)
-    two = coupled_increment_stats(1.5, 4, 9000, seed=13, workers=2)
+    # 12000 trees are three chunks of 5207 at d = 1.5, L = 4, the last one ragged
+    assert _theta_chunk(1.5, 4) == 5207
+    one = coupled_increment_stats(1.5, 4, 12_000, seed=13, workers=1)
+    two = coupled_increment_stats(1.5, 4, 12_000, seed=13, workers=2)
     assert one == two
 
 
@@ -772,3 +788,6 @@ def test_increment_stats_validate():
         coupled_increment_stats(1.0, 1, 100, seed=0)
     with pytest.raises(ValueError):
         coupled_increment_stats(1.0, 3, 0, seed=0)
+    for d in (math.nan, -1.0, math.inf, 0.0, 2.5):
+        with pytest.raises(ValueError, match=r"need d in \(0,2\), got"):
+            coupled_increment_stats(d, 3, 100, seed=0)

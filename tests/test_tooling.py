@@ -245,15 +245,15 @@ def test_float_recursions_are_pinned():
     runs = fixpoint(1.5, 300, max_iter=3, seed=14), fixpoint(0.9, 300, max_iter=3, seed=15,
                                                                operator="de")
     got = {
-        # 5000 trees span two chunks of the theta recursion
-        "increments": _fingerprint(repr(coupled_increment_stats(1.5, 3, 5000, 16, workers=1))),
+        # 12000 trees span two theta chunks at d = 1.5, L = 3 (8867 trees, then 3133)
+        "increments": _fingerprint(repr(coupled_increment_stats(1.5, 3, 12_000, 16, workers=1))),
         "survival": _fingerprint(repr(survival_theta_population(1.5, 4, 200, 17).tolist())),
         **{f"fixpoint-{k}": _fingerprint(repr((r.trace, r.converged, r.noise_floor,
                                               r.iterations, r.population.samples.tolist())))
            for k, r in enumerate(runs)},
     }
     _assert_pinned(got, {
-        "increments": ("e602ccd99240a917", 4, 1.2910843874312627, 2.4388619768407835),
+        "increments": ("e602ccd99240a917", 4, 1.295605053680632, 2.4522328165905014),
         "survival": ("a9a0635af9c2f403", 200, 245.77258688392675, 1000.6771391962552),
         "fixpoint-0": ("685140ea36a3815d", 307, 253.75871800390348, 987.3076521488963),
         "fixpoint-1": ("7c296cd4a07b9201", 307, 151.18213672009657, 602.3526059175002),
