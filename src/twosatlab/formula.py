@@ -39,12 +39,11 @@ class Formula:
         if self.n < 0:
             raise ValueError("n must be non-negative")
         if cl.shape[0]:
-            i, si, j, sj = cl.T
-            if np.any(i == j):
+            if (cl[:, 0] == cl[:, 2]).any():
                 raise ValueError("clauses must use two distinct variables")
-            if np.any((i < 1) | (i > self.n) | (j < 1) | (j > self.n)):
+            if cl[:, ::2].min() < 1 or cl[:, ::2].max() > self.n:
                 raise ValueError("variable index out of range")
-            if np.any(np.abs(si) != 1) or np.any(np.abs(sj) != 1):
+            if (np.abs(cl[:, 1::2]) != 1).any():  # abs(-2**63) wraps, and is not 1 either
                 raise ValueError("signs must be +1 or -1")
         cl.flags.writeable = False
         object.__setattr__(self, "clauses", cl)
@@ -146,7 +145,7 @@ def count_solutions(f: Formula, cap: int = ENUM_CAP) -> SolutionStats:
 def is_satisfiable(f: Formula) -> bool:
     """2-SAT decision via strongly connected components of the implication graph."""
     # imported here so that importing the package (and the CLI) skips scipy
-    from scipy.sparse import coo_matrix
+    from scipy.sparse import csr_matrix
     from scipy.sparse.csgraph import connected_components
 
     if f.m == 0:
@@ -155,13 +154,11 @@ def is_satisfiable(f: Formula) -> bool:
     # node 2(v-1) is literal x_v, node 2(v-1)+1 is its negation
     lit_i = 2 * (i - 1) + (si < 0)
     lit_j = 2 * (j - 1) + (sj < 0)
-    neg_i = lit_i ^ 1
-    neg_j = lit_j ^ 1
-    rows = np.concatenate([neg_i, neg_j])
+    rows = np.concatenate([lit_i ^ 1, lit_j ^ 1])
     cols = np.concatenate([lit_j, lit_i])
-    g = coo_matrix(
-        (np.ones(len(rows), dtype=np.int8), (rows, cols)), shape=(2 * f.n, 2 * f.n)
-    )
+    # float64, the search's own dtype; the (data, (row, col)) form sums repeated
+    # edges, and the search did not return on a CSR that kept them
+    g = csr_matrix((np.ones(rows.size), (rows, cols)), shape=(2 * f.n, 2 * f.n))
     _, labels = connected_components(g, directed=True, connection="strong")
     return bool(np.all(labels[0::2] != labels[1::2]))
 
@@ -259,8 +256,9 @@ def _component_counts(nb: dict[int, set], rows: list, width_cap: int) -> tuple[i
     table = {v: [1] * (1 << len(s)) for v, s in scope.items()}
     for i, si, j, sj in rows:  # each clause joins the bucket eliminated first
         v = i if rank[i] < rank[j] else j
-        false = (si < 0) + 2 * (sj < 0)  # both literals false
-        table[v] = [0 if a == false else x for x, a in zip(table[v], _spread((i, j), scope[v]))]
+        bi, bj = 1 << scope[v].index(i), 1 << scope[v].index(j)
+        false = (bi if si < 0 else 0) | (bj if sj < 0 else 0)  # both literals false
+        table[v] = [0 if a & (bi | bj) == false else x for a, x in enumerate(table[v])]
 
     # forward pass: bucket x child messages, v summed out, goes to the first-
     # eliminated separator variable, spread over its scope; the last one is Z

@@ -290,7 +290,9 @@ def _grow_forest(rng, count: int, lam: float, node_cap: int, depth: int | None =
         if depth is not None and total + int(kids.sum()) > _NODE_BUDGET:
             raise ResourceLimitError(f"{count} trees cut at depth {depth} would pass "
                                      f"the budget of {_NODE_BUDGET} nodes per chunk")
-        parent = np.arange(start, start + n).repeat(kids)
+        # int32 ids: _NODE_BUDGET bounds a depth-cut forest, and memory runs
+        # out long before an extinct one nears 2^31 nodes
+        parent = np.arange(start, start + n, dtype=np.int32).repeat(kids)
         if not parent.size:  # no child anywhere
             break
         if live is not None:  # the first n_live[p] children of node p are live
@@ -311,7 +313,7 @@ def _grow_forest(rng, count: int, lam: float, node_cap: int, depth: int | None =
         marks.append(live)
         sizes.append(parent.size)
         start, total = total, total + parent.size
-    parent = np.concatenate(parents) if parents else np.zeros(0, dtype=np.int64)
+    parent = np.concatenate(parents) if parents else np.zeros(0, dtype=np.int32)
     live = None if live is None else np.concatenate(marks)
     alive = np.full(count, node_cap >= 1) if size is None else size <= node_cap
     if not alive.all():
@@ -330,7 +332,7 @@ def _drop_trees(parent, sizes, alive):
         tree[lo:hi] = tree[parent[lo - count:hi - count]]
     keep = alive[tree]
     keep[:count] = True
-    index = np.cumsum(keep) - 1  # new position of each kept node
+    index = np.cumsum(keep, dtype=parent.dtype) - 1  # new position of each kept node
     kept = np.diff(index[[end - 1 for end in ends]], prepend=-1).tolist()  # per generation
     return keep, index[parent[keep[count:]]], [k for k in kept if k]  # trailing zeros
 

@@ -212,20 +212,18 @@ def to_formula(t: TreeFormula):
     """Expand into a Formula whose factor graph is this tree, root = var 1."""
     from .formula import Formula
 
-    size = expanded_size(t)
-    if size > EXPAND_CAP:
-        raise ResourceLimitError(f"expanded tree has {size} nodes, cap {EXPAND_CAP}")
     clauses = []
-    next_id = 2
     queue = [(1, t)]
     while queue:
         vid, node = queue.pop()
         for (s, sp), child in node.children:
-            cid = next_id
-            next_id += 1
+            cid = len(clauses) + 2  # ids in expansion order, the root 1
+            if cid > EXPAND_CAP:
+                raise ResourceLimitError(f"expanded tree has {expanded_size(t)} nodes, "
+                                         f"cap {EXPAND_CAP}")
             clauses.append((vid, s, cid, sp))
             queue.append((cid, child))
-    return Formula(n=size, clauses=clauses)
+    return Formula(n=len(clauses) + 1, clauses=clauses)
 
 
 # -- nested parenthesized text form -------------------------------------------

@@ -65,12 +65,22 @@ def test_generator_validates():
 
 
 def test_formula_invariants_enforced():
-    with pytest.raises(ValueError):
-        Formula(n=2, clauses=[[1, 1, 1, 1]])
-    with pytest.raises(ValueError):
-        Formula(n=2, clauses=[[1, 1, 3, 1]])
-    with pytest.raises(ValueError):
-        Formula(n=2, clauses=[[1, 2, 2, 1]])
+    # distinct variables first, then the index range, then the signs
+    for rows, message in (
+        ([[1, 1, 1, 1]], "distinct variables"),
+        ([[5, 1, 5, 1]], "distinct variables"),  # i == j, and out of range too
+        ([[1, 1, 3, 1]], "out of range"),
+        ([[1, 1, 3, 2]], "out of range"),  # j == n + 1, and a bad sign too
+        ([[0, 1, 2, 1]], "out of range"),
+        ([[1, -2**63, 2, 1]], "signs"),  # abs overflows at -2**63
+        ([[1, 1, 2, -2**63]], "signs"),
+        ([[1, 2, 2, 1]], "signs"),
+        ([[1, 0, 2, 1]], "signs"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            Formula(n=2, clauses=rows)
+    assert Formula(n=2, clauses=[[1, 1, 2, -1], [2, -1, 1, 1]]).m == 2  # j == n
+    assert Formula(n=0, clauses=np.empty((0, 4), dtype=np.int64)).m == 0
 
 
 def test_count_empty_formula():
@@ -107,6 +117,32 @@ def test_satisfiability_matches_enumeration():
     for seed in range(120):
         f = generate_formula(12, 2.0, seed=seed)
         assert is_satisfiable(f) == (count_solutions(f).count > 0)
+
+
+def _implication_edges(f):
+    """(from, to) literal pairs of `is_satisfiable`'s graph, repeats included."""
+    i, si, j, sj = f.clauses.T
+    lit_i, lit_j = 2 * (i - 1) + (si < 0), 2 * (j - 1) + (sj < 0)
+    return list(zip(np.r_[lit_i ^ 1, lit_j ^ 1].tolist(), np.r_[lit_j, lit_i].tolist()))
+
+
+def test_satisfiability_with_repeated_implication_edges():
+    # the graph must sum its repeated edges: the strong components search did
+    # not return on a CSR that kept them
+    twice = Formula(n=3, clauses=[[1, 1, 2, -1], [1, 1, 2, -1], [2, 1, 3, 1]])
+    swapped = Formula(n=2, clauses=[[1, -1, 2, 1], [2, 1, 1, -1]])  # (j, sj, i, si)
+    cyclic = generate_formula(40, 1.5, seed=11)
+    edges = _implication_edges(cyclic)
+    assert len(edges) - len(set(edges)) == 4
+    doubled = []
+    for seed, d in zip(range(60), cycle((1.0, 2.0, 3.0))):
+        f = generate_formula(2 + seed % 11, d, seed=seed)
+        doubled.append(Formula(n=f.n, clauses=np.repeat(f.clauses, 2, axis=0)))
+    # 34 variables of `cyclic` are in clauses, past enumeration: elimination decides it
+    assert is_satisfiable(cyclic) == (exact_marginals(cyclic) is not None)
+    verdicts = [is_satisfiable(f) for f in [twice, swapped, *doubled]]
+    assert verdicts == [count_solutions(f).count > 0 for f in [twice, swapped, *doubled]]
+    assert verdicts[:2] == [True, True] and not all(verdicts)
 
 
 def test_marginals_isolated_variable():

@@ -15,7 +15,8 @@ import twosatlab
 from twosatlab.acceptance import run_all
 from twosatlab.cli import main
 from twosatlab.densityev import fixpoint
-from twosatlab.formula import exact_marginals, generate_formula, marginals_to_json
+from twosatlab.formula import (exact_marginals, generate_formula, is_satisfiable,
+                               marginals_to_json)
 from twosatlab.gwsim import (coupled_increment_stats, extinct_marginal_samples,
                              survival_theta_population, tree_marginal_samples)
 from twosatlab.treebp import construct_rational_tree, format_tree
@@ -143,6 +144,14 @@ def test_exact_marginals_are_pinned():
         (400, 1.5, 2): "3bebe15f281afc37", (400, 1.5, 3): "252b9c7dd06bb088",
         (200, 1.2, 1): "1f840826852da3ec", (200, 1.2, 2): "b696d51e1e1a814b",
         (200, 1.2, 3): "939791a1540341f7"}
+
+
+def test_satisfiability_verdicts_are_pinned():
+    # 60 verdicts around the threshold; a new implication-graph kernel must
+    # not move any of them
+    verdicts = [is_satisfiable(generate_formula(2000, d, seed))
+                for d in (1.8, 2.0, 2.2) for seed in range(20)]
+    assert (_digest(verdicts), sum(verdicts)) == ("ae57b0f4bce561c6", 53)
 
 
 # a float is any number with a point or an exponent; its sign stays in the text

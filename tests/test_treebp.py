@@ -262,9 +262,27 @@ def test_to_formula_examples():
 
 def test_to_formula_cap():
     t = construct_rational_tree(37, 80)
-    assert expanded_size(t) > EXPAND_CAP
-    with pytest.raises(ResourceLimitError):
+    assert expanded_size(t) == 849753
+    with pytest.raises(ResourceLimitError,
+                       match=f"^expanded tree has {expanded_size(t)} nodes, cap {EXPAND_CAP}$"):
         to_formula(t)
+
+
+def _chain(nodes: int) -> TreeFormula:
+    t = TreeFormula()
+    for _ in range(nodes - 1):
+        t = TreeFormula(((ClauseType(+1, -1), t),))
+    return t
+
+
+def test_to_formula_at_the_cap():
+    f = to_formula(_chain(EXPAND_CAP))
+    assert (f.n, f.m) == (EXPAND_CAP, EXPAND_CAP - 1)
+    assert f.clauses[:, 2].tolist() == list(range(2, EXPAND_CAP + 1))
+    assert (f.clauses[:, 0] == f.clauses[:, 2] - 1).all()
+    with pytest.raises(ResourceLimitError,
+                       match=f"^expanded tree has {EXPAND_CAP + 1} nodes, cap {EXPAND_CAP}$"):
+        to_formula(_chain(EXPAND_CAP + 1))
 
 
 def test_bp_matches_enumeration_random():
