@@ -169,37 +169,55 @@ def is_satisfiable(f: Formula) -> bool:
 # variable. A single clause has a closed form. Any other tree component (one
 # clause fewer than variables) leaves its nodes in generation lists shared by
 # all trees, and one integer belief propagation on reduced (a, b) pairs,
-# `_forest_pairs`, runs over all of them after the walk. A component with a
-# cycle is cut back off those lists at once and runs one min-degree variable
-# elimination (forward pass), which yields the count Z, and one calibration
-# of its bucket tree (backward pass), which yields every variable's counts.
-# A bucket over w variables is a list of 2^w Python ints; w above
-# `width_cap`, or more cells over all buckets than 2^(width_cap + 1), is a
+# `_forest_up` then `_forest_pairs`, runs over all of them after the walk.
+# A component with a cycle is cut back off those lists at once and split by
+# `_split` into its 2-core, what is left after removing again and again a
+# variable in exactly one clause, and the pendant trees rooted on the core.
+# A linear strong-components pass over the core's implication graph,
+# `_satisfiable`, decides the component before any table exists: a tree
+# cannot make it unsatisfiable, since either value of its root extends to
+# the tree. The trees fold upward, and each root's products (P, Q) join its
+# bucket as a unary factor; one min-degree variable elimination of the core
+# (forward pass) yields the count Z, one calibration of its bucket tree
+# (backward pass) every core variable's counts, and the trees' downward
+# pass starts from each root's counts (plus, Z - plus). A bucket over w
+# variables is a list of 2^w Python ints; w above `width_cap`, or more
+# cells over all of the core's buckets than 2^(width_cap + 1), is a
 # ResourceLimitError raised before any table exists. Width alone does not
 # bound memory: every bucket is kept until the backward pass (width 19 over
-# 1.5M cells peaked at 497 MB). count_solutions is the independent
+# 1.5M cells peaked at 497 MB). With eliminate_trees, every component goes
+# whole through elimination, with no split and no separate verdict, as an
+# independent check on the pair BP; count_solutions is the independent
 # enumeration oracle.
 
 
-def _forest_pairs(gens: list) -> dict[int, tuple[int, int]]:
-    """Reduced marginal pair (a, b) of every node of a breadth-first forest.
+def _forest_up(gens: list) -> tuple:
+    """Upward pass over a breadth-first forest: (levels, ends, parents, prods).
 
     gens[g] holds the depth-g nodes of every tree, each as (variable, its
     parent's index in gens[g - 1], the clause type above it with the
     parent's sign first, the same with its own sign first). The nodes are
-    numbered generation after generation, and the upward pass is one
-    `treebp.fold_up`. The downward pass divides a child's own factor out of
-    its parent's products: exactly, since every tree marginal a/b has
-    0 < a < b. The reduced rest reaches the child through the reversed
-    clause type (s', s) (`treebp.fold_factors`).
+    numbered generation after generation, the roots first, and the pass is
+    one `treebp.fold_up`: prods[0][k], prods[1][k] are node k's (P, Q).
     """
     levels = [tuple(zip(*gen)) for gen in gens if gen]  # only trailing ones are empty
-    if not levels:
-        return {}
     ends = list(accumulate(len(level[0]) for level in levels))
     parents = [p + lo for lo, level in zip([0, *ends], levels[1:]) for p in level[1]]
     downs = [t for level in levels[1:] for t in level[2]]
-    prods = p_prod, q_prod = fold_up(parents, downs, ends[0])
+    return levels, ends, parents, fold_up(parents, downs, ends[0] if ends else 0)
+
+
+def _forest_pairs(forest: tuple) -> dict[int, tuple[int, int]]:
+    """Reduced marginal pair (a, b) of every node of a `_forest_up` forest.
+
+    The downward pass divides a child's own factor out of its parent's
+    products: exactly, since the upward pass multiplied it in, and never by
+    0, since every tree marginal a/b has 0 < a < b. The reduced rest reaches
+    the child through the reversed clause type (s', s) (`treebp.fold_factors`).
+    A root's products may be set to its counts in a larger component first.
+    """
+    levels, ends, parents, prods = forest
+    p_prod, q_prod = prods
     for lo, hi, level in zip(ends, ends[1:], levels[1:]):
         rest = []
         lifted = product_pairs([p_prod[lo:hi], q_prod[lo:hi]])  # each pair within its subtree
@@ -217,6 +235,96 @@ def _forest_pairs(gens: list) -> dict[int, tuple[int, int]]:
     return dict(zip((u for level in levels for u in level[0]), product_pairs(prods)))
 
 
+def _split(members: list, adj: list, peel: bool) -> tuple[dict, list, list]:
+    """A cyclic component's 2-core and, if `peel`, the trees hanging off it.
+
+    Peeling removes, again and again, a variable in exactly one clause (a
+    repeated clause counts twice); it hangs below the variable at that
+    clause's other end. Returns the core's neighbour sets, its rows
+    (i, s_i, j, s_j), each once, and the pendant trees in `_forest_up` form,
+    gens[0] holding the core variables with a tree below. Without `peel` the
+    core is the whole component.
+    """
+    deg = {u: len(adj[u]) for u in members}
+    leaves = [u for u, k in deg.items() if k == 1] if peel else []
+    kids: dict[int, list] = {}
+    for u in leaves:  # the loop sees each leaf it appends; the cycles stop it
+        deg[u] = 0
+        for w, t, r, _ in adj[u]:
+            if deg[w]:  # the one clause left
+                break
+        kids.setdefault(w, []).append((u, r, t))
+        deg[w] -= 1
+        if deg[w] == 1:
+            leaves.append(w)
+    nb, rows = {}, []  # each row once, from its smaller variable
+    for u in members:
+        if deg[u]:
+            nb[u] = others = set()
+            for w, _, _, row in adj[u]:
+                if deg[w]:
+                    others.add(w)
+                    if w > u:
+                        rows.append(row)
+    gens, level = [], [(u, 0, 0, 0) for u in nb if u in kids]
+    while level:
+        gens.append(level)
+        level = [(u, k, r, t) for k, (w, *_) in enumerate(level) for u, r, t in kids.get(w, ())]
+    return nb, rows, gens
+
+
+def _satisfiable(rows: list) -> bool:
+    """Whether clause rows (i, s_i, j, s_j) have a solution, by one pass of
+    Tarjan's strong components over their implication graph, in linear time.
+
+    A clause s_i x_i or s_j x_j gives the edges -s_i x_i -> s_j x_j and
+    -s_j x_j -> s_i x_i; the rows have no solution iff a component holds a
+    literal and its negation.
+    """
+    node: dict[int, int] = {}  # variable -> node of x = +1; node ^ 1 is x = -1
+    for i, _, j, _ in rows:
+        node.setdefault(i, 2 * len(node))
+        node.setdefault(j, 2 * len(node))
+    out: list[list] = [[] for _ in range(2 * len(node))]
+    for i, si, j, sj in rows:
+        a, b = node[i] + (si < 0), node[j] + (sj < 0)
+        out[a ^ 1].append(b)
+        out[b ^ 1].append(a)
+    num, low, comp = [0] * len(out), [0] * len(out), [-1] * len(out)
+    stack, count = [], 0
+    for s in range(len(out)):
+        if num[s]:
+            continue
+        count += 1
+        num[s] = low[s] = count
+        stack.append(s)
+        todo = [(s, iter(out[s]))]
+        while todo:
+            v, edges = todo[-1]
+            for w in edges:
+                if not num[w]:  # descend, and come back to v's next edge
+                    count += 1
+                    num[w] = low[w] = count
+                    stack.append(w)
+                    todo.append((w, iter(out[w])))
+                    break
+                if comp[w] < 0 and num[w] < low[v]:  # w is on the stack
+                    low[v] = num[w]
+            else:
+                todo.pop()
+                if todo and low[v] < low[todo[-1][0]]:
+                    low[todo[-1][0]] = low[v]
+                if low[v] == num[v]:  # v is the first of its component: close it
+                    while True:
+                        w = stack.pop()
+                        comp[w] = v
+                        if comp[w ^ 1] == v:
+                            return False
+                        if w == v:
+                            break
+    return True
+
+
 def _spread(scope: tuple, into: tuple) -> list[int]:
     """For each assignment of `into`, the index of its restriction to `scope`
     (bit p of an index is the p-th variable of its tuple, set for +1)."""
@@ -226,10 +334,12 @@ def _spread(scope: tuple, into: tuple) -> list[int]:
     return idx
 
 
-def _component_counts(nb: dict[int, set], rows: list, width_cap: int) -> tuple[int, dict]:
+def _component_counts(nb: dict[int, set], rows: list, width_cap: int,
+                      unary: dict[int, tuple]) -> tuple[int, dict]:
     """Solution count Z of a connected component and, if Z > 0, its number of
     solutions with x = +1 for each variable x. Consumes `nb`, the neighbour
-    sets; `rows` are the component's clauses (i, s_i, j, s_j)."""
+    sets; `rows` are the component's clauses (i, s_i, j, s_j), and unary[v] =
+    (P, Q) weighs v = +1 by P and v = -1 by Q."""
     # min-degree order; bucket v is over (v, *separator), the separator being
     # v's neighbours, fill-in included, when v is eliminated
     scope: dict[int, tuple] = {}
@@ -254,6 +364,8 @@ def _component_counts(nb: dict[int, set], rows: list, width_cap: int) -> tuple[i
     order = list(scope)
     rank = {v: k for k, v in enumerate(order)}
     table = {v: [1] * (1 << len(s)) for v, s in scope.items()}
+    for v, (p, q) in unary.items():  # bit 0 of v's own bucket is v
+        table[v] = [q, p] * (1 << len(scope[v]) - 1)
     for i, si, j, sj in rows:  # each clause joins the bucket eliminated first
         v = i if rank[i] < rank[j] else j
         bi, bj = 1 << scope[v].index(i), 1 << scope[v].index(j)
@@ -303,8 +415,14 @@ def exact_marginals(
     Decomposes the factor graph into connected components and counts each
     component exactly; variables in no clause get marginal 1/2 outright.
     Tree components take `_forest_pairs` together (a single clause its
-    closed form), the rest elimination within `width_cap`; eliminate_trees
-    sends trees through elimination too.
+    closed form). A cyclic component splits into its 2-core and the trees
+    hanging off it: a strong-components pass over the core returns None on
+    a contradiction before any elimination order or table exists; else the
+    trees fold onto their roots, elimination counts the core alone, within
+    `width_cap` and its cell budget, and the trees take their pairs from the
+    core's counts. component_cap bounds whole components. eliminate_trees
+    sends every component whole through elimination, trees included, with
+    no split and no separate verdict.
     """
     adj: list[list] = [[] for _ in range(f.n + 1)]
     for row in f.clauses.tolist():  # on both ends, with its CLAUSE_TYPES index from each
@@ -348,18 +466,21 @@ def exact_marginals(
             members = [e[0] for g, lo in enumerate(tail) for e in gens[g][lo:]]
             for g, lo in enumerate(tail):
                 del gens[g][lo:]  # the walk appended this component last
-            nb, rows = {}, []  # each row once, from its smaller variable
-            for u in members:
-                nb[u] = others = set()
-                for w, _, _, row in adj[u]:
-                    others.add(w)
-                    if w > u:
-                        rows.append(row)
-            z, plus = _component_counts(nb, rows, width_cap)
+            nb, rows, hanging = _split(members, adj, peel=not eliminate_trees)
+            if not (eliminate_trees or _satisfiable(rows)):
+                return None
+            forest = _forest_up(hanging)
+            p_prod, q_prod = forest[-1]
+            roots = [e[0] for e in hanging[0]] if hanging else []
+            z, plus = _component_counts(nb, rows, width_cap,
+                                        dict(zip(roots, zip(p_prod, q_prod))))
             if z == 0:
                 return None
             pairs.update((u, (c // (h := gcd(c, z)), z // h)) for u, c in plus.items())
-    pairs.update(_forest_pairs(list(gens.values())))
+            for k, u in enumerate(roots):  # the trees' downward pass starts from here
+                p_prod[k], q_prod[k] = plus[u], z - plus[u]
+            pairs.update(_forest_pairs(forest))
+    pairs.update(_forest_pairs(_forest_up(list(gens.values()))))
     shared = {ab: Fraction(*ab) for ab in set(pairs.values())}  # one Fraction per pair
     out = dict.fromkeys(range(1, f.n + 1), Fraction(1, 2))
     out.update((u, shared[ab]) for u, ab in pairs.items())
@@ -380,9 +501,9 @@ def empirical_marginal_measure(f: Formula, d: float | None = None) -> Population
 
 def write_formula(f: Formula, fh: IO[str]) -> None:
     """`p 2sat n m` header, then one clause per line as two signed literals."""
-    fh.write(f"p 2sat {f.n} {f.m}\n")
-    for i, si, j, sj in f.clauses:
-        fh.write(f"{si * i} {sj * j}\n")
+    lines = [f"p 2sat {f.n} {f.m}"]
+    lines += [f"{si * i} {sj * j}" for i, si, j, sj in f.clauses.tolist()]
+    fh.write("\n".join(lines) + "\n")
 
 
 def read_formula(fh: IO[str]) -> Formula:

@@ -7,7 +7,7 @@ from itertools import cycle
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
@@ -394,21 +394,33 @@ def test_only_cyclic_components_reach_elimination(monkeypatch):
     seen = []
     kernel = formula._component_counts
 
-    def counting(nb, rows, width_cap):
-        seen.append(sorted(nb))
-        return kernel(nb, rows, width_cap)
+    def counting(nb, rows, width_cap, unary):
+        seen.append((sorted(nb), sorted(unary)))
+        return kernel(nb, rows, width_cap, unary)
 
     monkeypatch.setattr(formula, "_component_counts", counting)
     forest = Formula(n=9, clauses=[[1, 1, 2, -1], [3, -1, 4, 1], [4, 1, 5, 1],
                                    [4, -1, 6, -1], [8, 1, 7, 1]])
     assert exact_marginals(forest) == exact_marginals(forest, eliminate_trees=True)
-    assert seen == [[1, 2], [3, 4, 5, 6], [7, 8]]  # only the eliminate_trees call
+    # only the eliminate_trees call, whole components and no unary factor
+    assert seen == [([1, 2], []), ([3, 4, 5, 6], []), ([7, 8], [])]
     seen.clear()
     # the same forest with a 2-cycle on variables 9 and 10
     f = Formula(n=10, clauses=[*forest.clauses.tolist(), [9, 1, 10, 1], [10, -1, 9, 1]])
     marg = exact_marginals(f)
     assert (marg[9], marg[10]) == (1, Fraction(1, 2))  # x9 is forced
-    assert seen == [[9, 10]]
+    assert seen == [([9, 10], [])]
+    seen.clear()
+    # and a triangle 11-12-13 with a path 13-14-15 and a clause 11-16 hanging
+    # off it: the pendant variables 14, 15 and 16 never reach elimination,
+    # their trees enter as unary factors on the roots 11 and 13
+    g = Formula(n=16, clauses=[*f.clauses.tolist(), [11, 1, 12, 1], [12, -1, 13, 1],
+                               [13, -1, 11, -1], [13, 1, 14, -1], [14, 1, 15, 1],
+                               [16, -1, 11, 1]])
+    marg = exact_marginals(g)
+    assert seen == [([9, 10], []), ([11, 12, 13], [11, 13])]
+    stats = count_solutions(g)
+    assert marg == {v: stats.marginal(v) for v in range(1, g.n + 1)}
 
 
 def _path(first: int, last: int, signs: list) -> list[list[int]]:
@@ -444,6 +456,82 @@ def test_layered_pass_unsat_cycle_after_deep_trees():
     clauses = [*_path(1, 7, [(1, -1), (-1, 1)]), *_path(8, 13, [(1, 1)]),
                [14, 1, 15, 1], [14, 1, 15, -1], [14, -1, 15, 1], [14, -1, 15, -1]]
     assert _against_both_oracles(Formula(n=16, clauses=clauses)) is None
+
+
+@st.composite
+def cored_formulas(draw, max_vars=14):
+    """One cyclic component: a core (two clauses on one pair, a cycle, or a
+    theta graph of three paths between two variables), some of its clauses
+    repeated, random trees hung on it, every clause with drawn signs, the
+    variables shuffled and one more variable left free."""
+    shape = draw(st.sampled_from(["2-cycle", "cycle", "theta"]), label="core")
+    if shape == "2-cycle":
+        size, edges = 2, [(0, 1), (0, 1)]
+    elif shape == "cycle":
+        size = draw(st.integers(3, 6), label="length")
+        edges = [(k, (k + 1) % size) for k in range(size)]
+    else:  # paths of 1-3 clauses from node 0 to node 1
+        size, edges = 2, []
+        for length in draw(st.lists(st.integers(1, 3), min_size=3, max_size=3), label="paths"):
+            path = [0, *range(size, size + length - 1), 1]
+            size += length - 1
+            edges += zip(path, path[1:])
+    edges += draw(st.lists(st.sampled_from(edges), max_size=3), label="repeats")
+    n = draw(st.integers(size, max_vars), label="variables")
+    edges += [(draw(st.integers(0, k - 1), label="parent"), k) for k in range(size, n)]
+    perm = draw(st.permutations(range(1, n + 2)), label="shuffle")
+    signs = st.tuples(st.sampled_from([-1, 1]), st.sampled_from([-1, 1]))
+    clauses = []
+    for a, b in edges:
+        s, sp = draw(signs, label="signs")
+        clauses.append([perm[a], s, perm[b], sp])
+    return Formula(n=n + 1, clauses=clauses)
+
+
+@settings(max_examples=300, deadline=None)
+@given(cored_formulas())
+@example(Formula(n=6, clauses=[  # x1 forced true, trees on 1 and 2
+    [1, 1, 2, 1], [1, 1, 2, -1], [2, 1, 3, -1], [3, 1, 4, 1], [1, -1, 5, 1], [5, -1, 6, -1]]))
+@example(Formula(n=6, clauses=[  # x2 forced false by a triangle, trees on 1 and 3
+    [1, 1, 2, -1], [1, -1, 2, -1], [2, 1, 3, 1], [3, -1, 1, 1], [3, 1, 4, 1], [1, 1, 5, -1],
+    [5, 1, 6, 1]]))
+@example(Formula(n=5, clauses=[  # no solution on the pair (1, 2), a path below 2
+    *CONTRADICTION.clauses.tolist(), [2, 1, 3, 1], [3, -1, 4, 1], [4, 1, 5, -1]]))
+def test_core_split_matches_elimination_and_enumeration(f):
+    _against_both_oracles(f)
+
+
+def test_verdict_agrees_with_is_satisfiable():
+    # the strong-components pass of exact_marginals against scipy's search:
+    # the 60 pinned formulas around the threshold, dense small ones, edge cases
+    from twosatlab.formula import _satisfiable
+
+    fs = [generate_formula(2000, d, seed) for d in (1.8, 2.0, 2.2) for seed in range(20)]
+    fs += [generate_formula(40, 2.5, seed) for seed in range(20)]
+    fs += [CONTRADICTION, Formula(n=3, clauses=np.empty((0, 4), dtype=np.int64))]
+    verdicts = [_satisfiable(f.clauses.tolist()) for f in fs]
+    assert verdicts == [is_satisfiable(f) for f in fs]
+    assert sum(verdicts[:60]) == 53 and 0 < sum(verdicts[60:80]) < 20
+    assert verdicts[80:] == [False, True]
+
+
+def test_unsat_core_past_the_width_cap_returns_none(monkeypatch):
+    # a clique on 6 variables whose pair (1, 2) carries all four clauses, and
+    # a clause hung on it: its elimination needs width 6, over the cap 3, but
+    # the verdict returns None before any elimination order exists
+    import twosatlab.formula as formula
+
+    clique = [[i, 1 - 2 * ((i + j) % 2), j, 1] for i in range(1, 7) for j in range(i + 1, 7)]
+    f = Formula(n=7, clauses=[*clique, *CONTRADICTION.clauses.tolist(), [6, 1, 7, -1]])
+    assert count_solutions(f).count == 0
+    with pytest.raises(ResourceLimitError, match="elimination width 6 exceeds cap 3"):
+        exact_marginals(f, width_cap=3, eliminate_trees=True)
+
+    def unreachable(*args):
+        raise AssertionError("an unsatisfiable core reached elimination")
+
+    monkeypatch.setattr(formula, "_component_counts", unreachable)
+    assert exact_marginals(f, width_cap=3) is None
 
 
 @pytest.mark.parametrize("clauses, cap, message", [
@@ -494,13 +582,19 @@ def test_width_cap_error():
 
 
 def test_table_cell_budget_error():
-    # a triangle with a one-clause tail: no bucket is wider than 3, but its
-    # tables hold 4 + 8 + 4 + 2 = 18 cells, over the budget 2^(3+1) that a
-    # width cap of 3 allows (a tree component builds no tables at all)
+    # a 4-cycle, all of it core: no bucket is wider than 3, but its tables
+    # hold 8 + 8 + 4 + 2 = 22 cells, over the budget 2^(3+1) that a width cap
+    # of 3 allows (a tree component builds no tables at all)
+    square = Formula(n=4, clauses=[[1, 1, 2, 1], [2, 1, 3, -1], [3, 1, 4, 1], [4, -1, 1, 1]])
+    with pytest.raises(ResourceLimitError, match="22 cells exceed budget 16"):
+        exact_marginals(square, width_cap=3)
+    assert exact_marginals(square, width_cap=4) == oracle_marginals(square)
+    # a triangle with a one-clause tail: whole, its tables hold 4 + 8 + 4 + 2
+    # = 18 cells; the tail is peeled, and the core's 8 + 4 + 2 = 14 fit
     tailed = Formula(n=4, clauses=[[1, 1, 2, 1], [2, 1, 3, 1], [1, -1, 3, 1], [3, 1, 4, 1]])
     with pytest.raises(ResourceLimitError, match="18 cells exceed budget 16"):
-        exact_marginals(tailed, width_cap=3)
-    assert exact_marginals(tailed, width_cap=4) == oracle_marginals(tailed)
+        exact_marginals(tailed, width_cap=3, eliminate_trees=True)
+    assert exact_marginals(tailed, width_cap=3) == oracle_marginals(tailed)
 
 
 def test_component_cap_error():

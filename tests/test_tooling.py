@@ -2,11 +2,14 @@
 
 import ast
 import hashlib
+import importlib.util
 import inspect
 import json
 import math
+import os
 import re
 import shlex
+import sys
 from pathlib import Path
 
 import pytest
@@ -111,6 +114,30 @@ def test_every_default_is_set_by_a_caller_outside_the_tests():
             passed.update((name, kw.arg) for kw in node.keywords)
             passed.update(key for key, k in defaulted.items() if key[0] == name and k < len(args))
     assert sorted(set(defaulted) - passed) == [("exact_marginals", "width_cap")]
+
+
+def test_benchmark_exact_job_passes_its_checks(monkeypatch):
+    # the benchmark script's `exact` job at --tiny sizes, one checked pass,
+    # imported and never written to: no run record, and the environment
+    # variables it sets at import are undone
+    out = BENCHMARK.parent / "out"
+    records = sorted(out.glob("*")) if out.exists() else None
+    environ = dict(os.environ)
+    monkeypatch.setattr(sys, "path", list(sys.path))  # the script puts src/ first
+    spec = importlib.util.spec_from_file_location("benchmark_run", BENCHMARK)
+    bench = importlib.util.module_from_spec(spec)
+    try:
+        spec.loader.exec_module(bench)
+    finally:
+        for key in set(os.environ) - set(environ):
+            del os.environ[key]
+        os.environ.update(environ)
+    steps, check = bench.job_exact(bench.SIZES["tiny"], 1)
+    run = bench.Run(tracing=False)
+    _, _, passes, work = bench.measure(run, steps, check, 0, passes=1)
+    assert (passes, run.errors, run.failed) == (1, [], 0)
+    assert run.attempted > 0 and work > 0
+    assert (sorted(out.glob("*")) if out.exists() else None) == records
 
 
 def _digest(items):
