@@ -130,17 +130,13 @@ def resample_log_terms(slot: np.ndarray, entry: np.ndarray, size: int) -> np.nda
     return sums[:size] - sums[size:]
 
 
-def _ll_generation(p: Population, values: np.ndarray, d: float, seed: int, path: int):
-    terms = split_packs(substream(seed, path), clause_table(values), d, p.size)
-    return Population(samples=resample_log_terms(*terms, p.size), kind=Kind.THETA, d=d,
-                      generation=p.generation + 1, seed=seed)
-
-
 def apply_ll(p: Population, d: float, seed: int) -> Population:
     """One generation of the log-likelihood-ratio recursion."""
     if p.kind is not Kind.THETA:
         raise ValueError("apply_ll needs a THETA population")
-    return _ll_generation(p, p.samples, d, seed, 0x11)
+    terms = split_packs(substream(seed, 0x11), clause_table(p.samples), d, p.size)
+    return Population(samples=resample_log_terms(*terms, p.size), kind=Kind.THETA, d=d,
+                      generation=p.generation + 1, seed=seed)
 
 
 def apply_de(p: Population, d: float, seed: int) -> Population:

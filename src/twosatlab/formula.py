@@ -181,8 +181,8 @@ def is_satisfiable(f: Formula) -> bool:
 # (forward pass) yields the count Z, one calibration of its bucket tree
 # (backward pass) every core variable's counts, and the trees' downward
 # pass starts from each root's counts (plus, Z - plus). A bucket over w
-# variables is a list of 2^w Python ints; w above `width_cap`, or more
-# cells over all of the core's buckets than 2^(width_cap + 1), is a
+# variables is a list of 2^w Python ints; w above `_ELIM_WIDTH_CAP`, or more
+# cells over all of the core's buckets than 2^(_ELIM_WIDTH_CAP + 1), is a
 # ResourceLimitError raised before any table exists. Width alone does not
 # bound memory: every bucket is kept until the backward pass (width 19 over
 # 1.5M cells peaked at 497 MB). With eliminate_trees, every component goes
@@ -334,8 +334,7 @@ def _spread(scope: tuple, into: tuple) -> list[int]:
     return idx
 
 
-def _component_counts(nb: dict[int, set], rows: list, width_cap: int,
-                      unary: dict[int, tuple]) -> tuple[int, dict]:
+def _component_counts(nb: dict[int, set], rows: list, unary: dict[int, tuple]) -> tuple[int, dict]:
     """Solution count Z of a connected component and, if Z > 0, its number of
     solutions with x = +1 for each variable x. Consumes `nb`, the neighbour
     sets; `rows` are the component's clauses (i, s_i, j, s_j), and unary[v] =
@@ -349,8 +348,8 @@ def _component_counts(nb: dict[int, set], rows: list, width_cap: int,
         deg, v = heapq.heappop(heap)
         if v in scope or deg != len(nb[v]):
             continue
-        if deg + 1 > width_cap:
-            raise ResourceLimitError(f"elimination width {deg + 1} exceeds cap {width_cap}")
+        if deg + 1 > _ELIM_WIDTH_CAP:
+            raise ResourceLimitError(f"elimination width {deg + 1} exceeds cap {_ELIM_WIDTH_CAP}")
         sep = nb.pop(v)
         scope[v] = (v, *sorted(sep))
         for u in sep:
@@ -358,9 +357,9 @@ def _component_counts(nb: dict[int, set], rows: list, width_cap: int,
             nb[u] -= {u, v}
             heapq.heappush(heap, (len(nb[u]), u))
     cells = sum(1 << len(s) for s in scope.values())
-    if cells > 2 << width_cap:  # a clique at the width cap alone needs 2^(w+1) - 2
+    if cells > 2 << _ELIM_WIDTH_CAP:  # a clique at the width cap alone needs 2^(w+1) - 2
         raise ResourceLimitError(f"elimination tables of {cells} cells exceed "
-                                 f"budget {2 << width_cap}")
+                                 f"budget {2 << _ELIM_WIDTH_CAP}")
     order = list(scope)
     rank = {v: k for k, v in enumerate(order)}
     table = {v: [1] * (1 << len(s)) for v, s in scope.items()}
@@ -407,8 +406,7 @@ def _component_counts(nb: dict[int, set], rows: list, width_cap: int,
 
 
 def exact_marginals(
-    f: Formula, component_cap: int = COMPONENT_CAP, width_cap: int = _ELIM_WIDTH_CAP,
-    eliminate_trees: bool = False,
+    f: Formula, component_cap: int = COMPONENT_CAP, eliminate_trees: bool = False,
 ) -> dict[int, Fraction] | None:
     """Exact marginal P(x = +1) for every variable, or None if unsatisfiable.
 
@@ -419,10 +417,10 @@ def exact_marginals(
     hanging off it: a strong-components pass over the core returns None on
     a contradiction before any elimination order or table exists; else the
     trees fold onto their roots, elimination counts the core alone, within
-    `width_cap` and its cell budget, and the trees take their pairs from the
-    core's counts. component_cap bounds whole components. eliminate_trees
-    sends every component whole through elimination, trees included, with
-    no split and no separate verdict.
+    the module's `_ELIM_WIDTH_CAP` and its cell budget, and the trees take
+    their pairs from the core's counts. component_cap bounds whole
+    components. eliminate_trees sends every component whole through
+    elimination, trees included, with no split and no separate verdict.
     """
     adj: list[list] = [[] for _ in range(f.n + 1)]
     for row in f.clauses.tolist():  # on both ends, with its CLAUSE_TYPES index from each
@@ -472,8 +470,7 @@ def exact_marginals(
             forest = _forest_up(hanging)
             p_prod, q_prod = forest[-1]
             roots = [e[0] for e in hanging[0]] if hanging else []
-            z, plus = _component_counts(nb, rows, width_cap,
-                                        dict(zip(roots, zip(p_prod, q_prod))))
+            z, plus = _component_counts(nb, rows, dict(zip(roots, zip(p_prod, q_prod))))
             if z == 0:
                 return None
             pairs.update((u, (c // (h := gcd(c, z)), z // h)) for u, c in plus.items())

@@ -19,8 +19,9 @@ time on one node numbering (parents, live marks under survival
 conditioning, a depth cut), then draws the clause types once. One pass from
 the last node up (`treebp.fold_up`, the two-product rule) gives the exact
 root pairs. A tree over node_cap nodes leaves the frontier once past the cap
-and comes back as None; tree sizes are tracked only once the chunk's total
-passes the cap. A depth-cut chunk holds at most _NODE_BUDGET nodes.
+and comes back as None: each node's tree id is kept from the moment the
+chunk's total passes the cap, and the oversize trees are dropped by those
+ids at the end. A depth-cut chunk holds at most _NODE_BUDGET nodes.
 
 The float theta recursions (`coupled_increment_stats`,
 `survival_theta_population`) draw their Poisson packs Poissonized
@@ -273,13 +274,15 @@ def _grow_forest(rng, count: int, lam: float, node_cap: int, depth: int | None =
     sizes[g] nodes, and node count + j hangs below parent[j] through
     CLAUSE_TYPES[types[j]]. Parents ascend, so siblings are contiguous, live
     ones first (live flags them; None without live_lam). alive[k] is False
-    exactly when tree k has more than node_cap nodes; only its root is kept
-    (`_drop_trees`). The types are drawn last, for the kept nodes only.
+    exactly when tree k has more than node_cap nodes, and then only its root
+    is kept: every node's tree id, kept from the moment the total passes the
+    cap, drops the rest at the end. The types are drawn last, for the kept
+    nodes only.
     """
     live = None if live_lam is None else np.ones(count, dtype=bool)
     parents, marks, sizes = [], [live], [count]
     start, total = 0, count  # first frontier node, nodes kept so far
-    tree = size = None  # frontier trees and tree sizes, kept once total > node_cap
+    trees, size = [], None  # tree ids of the nodes and tree sizes, kept once total > node_cap
     while depth is None or len(parents) < depth:
         n = sizes[-1]
         kids = rng.poisson(lam, size=n)
@@ -298,17 +301,18 @@ def _grow_forest(rng, count: int, lam: float, node_cap: int, depth: int | None =
         if live is not None:  # the first n_live[p] children of node p are live
             live = np.arange(parent.size) < (np.cumsum(kids) - kids + n_live)[parent - start]
         if total + parent.size > node_cap:  # before, no tree can be over the cap
-            if tree is None:
-                tree = np.arange(count)  # the tree of every node so far
+            if size is None:
+                tree = np.arange(count, dtype=np.int32)  # the tree of every node so far
                 for above in parents:
                     tree = np.concatenate([tree, tree[above]])
-                size, tree = np.bincount(tree, minlength=count), tree[start:]
+                trees, size, tree = [tree], np.bincount(tree, minlength=count), tree[start:]
             tree = tree[parent - start]
             size += np.bincount(tree, minlength=count)
             keep = (size <= node_cap)[tree]
             if not keep.all():
                 parent, tree = parent[keep], tree[keep]
                 live = None if live is None else live[keep]
+            trees.append(tree)
         parents.append(parent)
         marks.append(live)
         sizes.append(parent.size)
@@ -316,25 +320,14 @@ def _grow_forest(rng, count: int, lam: float, node_cap: int, depth: int | None =
     parent = np.concatenate(parents) if parents else np.zeros(0, dtype=np.int32)
     live = None if live is None else np.concatenate(marks)
     alive = np.full(count, node_cap >= 1) if size is None else size <= node_cap
-    if not alive.all():
-        keep, parent, sizes = _drop_trees(parent, sizes, alive)
+    if trees and not alive.all():  # keep the roots and the nodes of trees within the cap
+        keep = alive[np.concatenate(trees)]
+        keep[:count] = True
+        index = np.cumsum(keep, dtype=np.int32) - 1  # new position of each kept node
+        kept = np.diff(index[np.cumsum(sizes) - 1], prepend=-1).tolist()  # per generation
+        parent, sizes = index[parent[keep[count:]]], [k for k in kept if k]  # trailing zeros
         live = None if live is None else live[keep]
     return parent, rng.integers(0, 4, size=parent.size, dtype=np.int8), sizes, alive, live
-
-
-def _drop_trees(parent, sizes, alive):
-    """(keep mask, parent, sizes) of a `_grow_forest` layout without the nodes
-    below the roots k with alive[k] False; the other trees stay as they are."""
-    count = alive.size
-    tree = np.arange(count + parent.size)
-    ends = np.cumsum(sizes).tolist()  # one past the last node of each generation
-    for lo, hi in zip(ends, ends[1:]):
-        tree[lo:hi] = tree[parent[lo - count:hi - count]]
-    keep = alive[tree]
-    keep[:count] = True
-    index = np.cumsum(keep, dtype=parent.dtype) - 1  # new position of each kept node
-    kept = np.diff(index[[end - 1 for end in ends]], prepend=-1).tolist()  # per generation
-    return keep, index[parent[keep[count:]]], [k for k in kept if k]  # trailing zeros
 
 
 def _forest_texts(parent, types, live, count: int) -> list[str]:

@@ -19,7 +19,7 @@ from twosatlab import (
     write_population,
 )
 from twosatlab.densityev import (
-    _ll_generation,
+    clause_table,
     poisson_owners,
     resample_log_terms,
     split_packs,
@@ -39,7 +39,12 @@ def apply_ll_coupled(pa: Population, pb: Population, d: float, seed: int):
     side draws from its own copy of the same generator.
     """
     assert pa.size == pb.size, "coupled inputs must have equal size"
-    return tuple(_ll_generation(p, np.sort(p.samples), d, seed, 0x12) for p in (pa, pb))
+    out = []
+    for p in (pa, pb):
+        terms = split_packs(substream(seed, 0x12), clause_table(np.sort(p.samples)), d, p.size)
+        out.append(Population(samples=resample_log_terms(*terms, p.size), kind=Kind.THETA,
+                              d=d, generation=p.generation + 1, seed=seed))
+    return tuple(out)
 
 
 def test_population_validation():

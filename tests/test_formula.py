@@ -24,6 +24,7 @@ from twosatlab import (
     read_formula,
     write_formula,
 )
+from twosatlab import formula
 from twosatlab.formula import _ELIM_WIDTH_CAP, COMPONENT_CAP
 
 CONTRADICTION = Formula(
@@ -389,14 +390,12 @@ def test_tree_kernel_past_the_recursion_limit():
 
 
 def test_only_cyclic_components_reach_elimination(monkeypatch):
-    import twosatlab.formula as formula
-
     seen = []
     kernel = formula._component_counts
 
-    def counting(nb, rows, width_cap, unary):
+    def counting(nb, rows, unary):
         seen.append((sorted(nb), sorted(unary)))
-        return kernel(nb, rows, width_cap, unary)
+        return kernel(nb, rows, unary)
 
     monkeypatch.setattr(formula, "_component_counts", counting)
     forest = Formula(n=9, clauses=[[1, 1, 2, -1], [3, -1, 4, 1], [4, 1, 5, 1],
@@ -519,19 +518,18 @@ def test_unsat_core_past_the_width_cap_returns_none(monkeypatch):
     # a clique on 6 variables whose pair (1, 2) carries all four clauses, and
     # a clause hung on it: its elimination needs width 6, over the cap 3, but
     # the verdict returns None before any elimination order exists
-    import twosatlab.formula as formula
-
     clique = [[i, 1 - 2 * ((i + j) % 2), j, 1] for i in range(1, 7) for j in range(i + 1, 7)]
     f = Formula(n=7, clauses=[*clique, *CONTRADICTION.clauses.tolist(), [6, 1, 7, -1]])
     assert count_solutions(f).count == 0
+    monkeypatch.setattr(formula, "_ELIM_WIDTH_CAP", 3)
     with pytest.raises(ResourceLimitError, match="elimination width 6 exceeds cap 3"):
-        exact_marginals(f, width_cap=3, eliminate_trees=True)
+        exact_marginals(f, eliminate_trees=True)
 
     def unreachable(*args):
         raise AssertionError("an unsatisfiable core reached elimination")
 
     monkeypatch.setattr(formula, "_component_counts", unreachable)
-    assert exact_marginals(f, width_cap=3) is None
+    assert exact_marginals(f) is None
 
 
 @pytest.mark.parametrize("clauses, cap, message", [
@@ -552,19 +550,21 @@ def test_layered_pass_component_cap(clauses, cap, message):
     assert outcome(oracle_marginals, f, component_cap=cap) == ("limit", "component")
 
 
-def test_layered_pass_width_cap_on_a_cycle_after_trees():
+def test_layered_pass_width_cap_on_a_cycle_after_trees(monkeypatch):
     # trees first, then a triangle of width 3; and a later over-cap tree
     # never comes into it, since the triangle raises first
     trees = [[1, 1, 2, -1], *_path(3, 7, [(1, 1), (-1, 1)])]
     triangle = [[8, 1, 9, 1], [9, 1, 10, 1], [8, -1, 10, 1]]
     f = Formula(n=16, clauses=[*trees, *triangle, *_path(11, 16, [(1, -1)])])
+    monkeypatch.setattr(formula, "_ELIM_WIDTH_CAP", 2)
     with pytest.raises(ResourceLimitError) as exc:
-        exact_marginals(f, width_cap=2, component_cap=5)
+        exact_marginals(f, component_cap=5)
     assert str(exc.value) == "elimination width 3 exceeds cap 2"
+    monkeypatch.setattr(formula, "_ELIM_WIDTH_CAP", 3)
     with pytest.raises(ResourceLimitError) as exc:
-        exact_marginals(f, width_cap=3, component_cap=5)
+        exact_marginals(f, component_cap=5)
     assert str(exc.value) == "component with 6 variables exceeds cap 5"
-    assert exact_marginals(f, width_cap=3) == oracle_marginals(f)
+    assert exact_marginals(f) == oracle_marginals(f)
 
 
 def test_marginals_forced_variable_on_a_two_cycle():
@@ -573,28 +573,33 @@ def test_marginals_forced_variable_on_a_two_cycle():
     assert exact_marginals(f) == {1: Fraction(1), 2: Fraction(2, 3), 3: Fraction(2, 3)}
 
 
-def test_width_cap_error():
+def test_width_cap_error(monkeypatch):
     triangle = Formula(n=3, clauses=[[1, 1, 2, 1], [2, 1, 3, 1], [1, -1, 3, 1]])
+    monkeypatch.setattr(formula, "_ELIM_WIDTH_CAP", 2)
     with pytest.raises(ResourceLimitError, match="elimination width 3 exceeds cap 2"):
-        exact_marginals(triangle, width_cap=2)
+        exact_marginals(triangle)
     assert outcome(oracle_marginals, triangle, width_cap=2) == ("limit", "elimination")
-    assert exact_marginals(triangle, width_cap=3) == oracle_marginals(triangle)
+    monkeypatch.setattr(formula, "_ELIM_WIDTH_CAP", 3)
+    assert exact_marginals(triangle) == oracle_marginals(triangle)
 
 
-def test_table_cell_budget_error():
+def test_table_cell_budget_error(monkeypatch):
     # a 4-cycle, all of it core: no bucket is wider than 3, but its tables
     # hold 8 + 8 + 4 + 2 = 22 cells, over the budget 2^(3+1) that a width cap
     # of 3 allows (a tree component builds no tables at all)
     square = Formula(n=4, clauses=[[1, 1, 2, 1], [2, 1, 3, -1], [3, 1, 4, 1], [4, -1, 1, 1]])
+    monkeypatch.setattr(formula, "_ELIM_WIDTH_CAP", 3)
     with pytest.raises(ResourceLimitError, match="22 cells exceed budget 16"):
-        exact_marginals(square, width_cap=3)
-    assert exact_marginals(square, width_cap=4) == oracle_marginals(square)
+        exact_marginals(square)
+    monkeypatch.setattr(formula, "_ELIM_WIDTH_CAP", 4)
+    assert exact_marginals(square) == oracle_marginals(square)
+    monkeypatch.setattr(formula, "_ELIM_WIDTH_CAP", 3)
     # a triangle with a one-clause tail: whole, its tables hold 4 + 8 + 4 + 2
     # = 18 cells; the tail is peeled, and the core's 8 + 4 + 2 = 14 fit
     tailed = Formula(n=4, clauses=[[1, 1, 2, 1], [2, 1, 3, 1], [1, -1, 3, 1], [3, 1, 4, 1]])
     with pytest.raises(ResourceLimitError, match="18 cells exceed budget 16"):
-        exact_marginals(tailed, width_cap=3, eliminate_trees=True)
-    assert exact_marginals(tailed, width_cap=3) == oracle_marginals(tailed)
+        exact_marginals(tailed, eliminate_trees=True)
+    assert exact_marginals(tailed) == oracle_marginals(tailed)
 
 
 def test_component_cap_error():

@@ -21,7 +21,6 @@ from twosatlab.acceptance import INCREMENT_DENSITIES
 from twosatlab.densityev import Kind, Population, poisson_owners
 from twosatlab.analysis import compare_distributions
 from twosatlab.gwsim import (
-    _drop_trees,
     _forest_root_pairs,
     _forest_texts,
     _forest_theta_matrix,
@@ -425,19 +424,31 @@ def test_forest_total_past_the_cap_drops_no_tree_under_it(conditioned, d, depth)
                for r, ok in zip(forest_trees(p_c, t_c, count), alive_c))
 
 
-def test_drop_trees_leaves_the_kept_trees_intact():
+@pytest.mark.parametrize("conditioned, d, depth, cap", [
+    ("extinct", 1.0, None, 30), ("extinct", 1.0, None, 1000),
+    ("survive", 1.5, 4, 20), ("survive", 1.5, 4, 40)])
+def test_capped_growth_drops_whole_trees(conditioned, d, depth, cap):
+    # the drop at the end of capped growth, with the total past the cap from
+    # the first generation, or from the third, so that the tree ids of the
+    # first two are rebuilt: a dropped tree keeps its root alone, a kept tree
+    # comes whole and within the cap, and the arrays stay one ascending layout
     count = 300
-    for conditioned, d, depth, root in (("extinct", 0.8, None, "(v)"),
-                                        ("survive", 1.5, 4, "(v!)")):
-        parent, types, sizes, _, live = grow(conditioned, d, count, seed=44, depth=depth)
-        full = _forest_texts(parent, types, live, count)
-        alive = substream(44, 1).random(count) < 0.7
-        keep, kept_parent, kept_sizes = _drop_trees(parent, sizes, alive)
-        kept = _forest_texts(kept_parent, types[keep[count:]],
-                             None if live is None else live[keep], count)
-        assert kept == [text if ok else root for text, ok in zip(full, alive)]
-        assert kept_parent.dtype == parent.dtype and all(kept_sizes)
-        assert sum(kept_sizes) == count + kept_parent.size
+    assert cap < count or sum(grow(conditioned, d, count, seed=44, depth=2)[2]) < cap
+    parent, types, sizes, alive, live = grow(conditioned, d, count, seed=44, depth=depth,
+                                             node_cap=cap)
+    assert 0 < (~alive).sum() < count
+    texts = _forest_texts(parent, types, live, count)
+    pairs = _forest_root_pairs(parent, types, count)
+    root = "(v!)" if conditioned == "survive" else "(v)"
+    for text, (a, b), ok in zip(texts, pairs, alive):
+        if ok:
+            assert text.count("(v") <= cap and root_marginal(parse_tree(text)) == Fraction(a, b)
+        else:
+            assert text == root
+    assert live is None or live[parent[live[count:]]].all()  # a live node's parent is live
+    assert parent.dtype == np.int32 and (np.diff(parent) >= 0).all()
+    assert sum(sizes) == count + parent.size and all(sizes)
+    assert types.size == parent.size
 
 
 def test_extinct_marginals_oversize_share_matches_borel_law():

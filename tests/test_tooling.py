@@ -93,8 +93,6 @@ def test_every_default_is_set_by_a_caller_outside_the_tests():
     # a defaulted parameter that only the tests pass is a knob with one value
     # in use: make it a constant. `run.call(label, fn, *args)` and
     # `run.attempt(...)` in the benchmark script count as calls of `fn`.
-    # width_cap stays: a test reaches the width boundary on a small cycle
-    # through it, where the default cap needs a 2^22-cell table
     functions = {name: getattr(twosatlab, name) for name in twosatlab.__all__}
     functions = {name: fn for name, fn in functions.items()
                  if callable(fn) and not inspect.isclass(fn)}
@@ -113,7 +111,33 @@ def test_every_default_is_set_by_a_caller_outside_the_tests():
             name = fn.attr if isinstance(fn, ast.Attribute) else getattr(fn, "id", None)
             passed.update((name, kw.arg) for kw in node.keywords)
             passed.update(key for key, k in defaulted.items() if key[0] == name and k < len(args))
-    assert sorted(set(defaulted) - passed) == [("exact_marginals", "width_cap")]
+    assert sorted(set(defaulted) - passed) == []
+
+
+def test_every_private_name_the_tests_import_is_used_in_src():
+    # a private helper, constant or kernel that only the tests reach belongs
+    # in the tests; a use is any reference in `src/` outside the name's own
+    # definition (a recursive call does not count)
+    imported = set()
+    for path in sorted(Path(__file__).parent.glob("test_*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("twosatlab"):
+                imported.update(a.name for a in node.names if a.name.startswith("_"))
+    used = set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        defined = [(node.name, node.lineno, node.end_lineno) for node in ast.walk(tree)
+                   if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                name = node.id
+            elif isinstance(node, ast.Attribute):
+                name = node.attr
+            else:
+                continue
+            if not any(name == own and lo <= node.lineno <= hi for own, lo, hi in defined):
+                used.add(name)
+    assert imported and sorted(imported - used) == []
 
 
 def test_benchmark_exact_job_passes_its_checks(monkeypatch):
@@ -138,6 +162,30 @@ def test_benchmark_exact_job_passes_its_checks(monkeypatch):
     assert (passes, run.errors, run.failed) == (1, [], 0)
     assert run.attempted > 0 and work > 0
     assert (sorted(out.glob("*")) if out.exists() else None) == records
+
+
+def test_newest_bench_file_has_every_header_field_and_row():
+    # the newest committed point of the bench trajectory holds the header and
+    # every row that tools/trajectory.py writes, each with consistent values
+    root = Path(__file__).resolve().parents[1]
+    files = sorted(root.glob("BENCH_*.json"), key=lambda path: int(path.stem.split("_")[1]))
+    spec = importlib.util.spec_from_file_location("trajectory", root / "tools" / "trajectory.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    bench = json.loads(files[-1].read_text())
+    assert sorted(bench) == sorted([*tool.HEADER, "rows"])
+    assert bench["pr"] == int(files[-1].stem.split("_")[1]) and bench["nproc"] >= 1
+    assert re.fullmatch(r"[0-9a-f]{40}", bench["commit"]) and isinstance(bench["dirty"], bool)
+    assert all(bench[key] for key in ("date", "machine", "python", "numpy", "scipy"))
+    assert re.search(r"\d+ passed", bench["tier1_summary"])
+    assert [row["name"] for row in bench["rows"]] == list(tool.ROWS)
+    for row in bench["rows"]:
+        assert sorted(row) == sorted(tool.ROW_FIELDS), row["name"]
+        lo, hi = row["spread_s"]
+        assert row["kind"] == ("layer" if row["name"] in (*tool.LAYERS, "cli.cold_start")
+                               else "end_to_end"), row["name"]
+        assert row["k"] >= 1 and 0 <= lo == row["best_s"] <= row["median_s"] <= hi, row["name"]
+        assert row["minflt"] >= 0 and row["peak_rss_mb"] > 0, row["name"]
 
 
 def _digest(items):
