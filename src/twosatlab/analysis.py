@@ -24,6 +24,7 @@ from .gwsim import (
     extinction_probability,
     survival_theta_population,
 )
+from .treebp import pair_fraction
 from .util import subseed
 
 
@@ -101,7 +102,8 @@ def detect_atoms(
     are sorted, split into clusters at gaps wider than `window`, and each
     cluster center is snapped to the nearest fraction with denominator <=
     max_den; clusters that are too small or do not snap within the window
-    land in residual_mass.
+    land in residual_mass. Either tally keys an atom by its reduced pair,
+    and each atom's Fraction is built once, at the end.
     """
     _check_window(window, max_den)
     if isinstance(samples, Population) and samples.kind is Kind.MU:
@@ -115,12 +117,13 @@ def detect_atoms(
     if n == 0:
         raise ValueError("empty sample list")
 
-    found: dict[Fraction, tuple[int, float]] = {}
+    # keyed by reduced (numerator, denominator) pairs, which hash far faster than Fractions
+    found: dict[tuple[int, int], tuple[int, float]] = {}
     residual = 0
-    if exact:  # reduced (numerator, denominator) keys hash far faster than Fractions
-        for (a, b), c in Counter(map(attrgetter("numerator", "denominator"), values)).items():
+    if exact:
+        for ab, c in Counter(map(attrgetter("numerator", "denominator"), values)).items():
             if c >= min_count:
-                found[Fraction(a, b)] = (c, 0.0)
+                found[ab] = (c, 0.0)
             else:
                 residual += c
     else:
@@ -132,14 +135,14 @@ def detect_atoms(
             width = float(cluster[-1] - cluster[0])
             frac = snap_to_fraction(center, max_den)
             if c >= min_count and 0 < frac < 1 and abs(center - float(frac)) <= window:
-                prev = found.get(frac, (0, 0.0))
-                found[frac] = (prev[0] + c, max(prev[1], width))
+                ab = frac.numerator, frac.denominator
+                prev = found.get(ab, (0, 0.0))
+                found[ab] = (prev[0] + c, max(prev[1], width))
             else:
                 residual += c
 
-    atoms = [
-        Atom(value=v, mass=c / n, width=w, count=c) for v, (c, w) in found.items()
-    ]
+    atoms = [Atom(value=pair_fraction(a, b), mass=c / n, width=w, count=c)
+             for (a, b), (c, w) in found.items()]
     # a/b as a float is correctly rounded, hence monotone: Fractions compare only on float ties
     atoms.sort(key=lambda a: (-a.count, a.value.numerator / a.value.denominator, a.value))
     return AtomReport(

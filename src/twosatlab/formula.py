@@ -20,7 +20,7 @@ from typing import IO
 import numpy as np
 
 from .densityev import Kind, Population
-from .treebp import TYPE_INDEX, fold_factors, fold_up, product_pairs
+from .treebp import TYPE_INDEX, fold_factors, fold_up, pair_fraction, product_pairs
 from .util import COMPONENT_CAP, ENUM_CAP, ResourceLimitError, substream
 
 _ELIM_WIDTH_CAP = 22
@@ -478,7 +478,7 @@ def exact_marginals(
                 p_prod[k], q_prod[k] = plus[u], z - plus[u]
             pairs.update(_forest_pairs(forest))
     pairs.update(_forest_pairs(_forest_up(list(gens.values()))))
-    shared = {ab: Fraction(*ab) for ab in set(pairs.values())}  # one Fraction per pair
+    shared = {(a, b): pair_fraction(a, b) for a, b in set(pairs.values())}  # one per pair
     out = dict.fromkeys(range(1, f.n + 1), Fraction(1, 2))
     out.update((u, shared[ab]) for u, ab in pairs.items())
     return out

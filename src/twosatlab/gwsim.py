@@ -36,16 +36,17 @@ trees as they are, without expanding them.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import groupby
 
 import numpy as np
 
 from .densityev import (clause_table, poisson_owners, resample_log_terms, split_packs,
                         zero_truncated_owners)
-from .treebp import CLAUSE_TYPES, EDGE_TEXT, TreeFormula, fold, fold_up, product_pairs
+from .treebp import (CLAUSE_TYPES, EDGE_TEXT, TreeFormula, fold, fold_up, pair_fraction,
+                     product_pairs)
 from .util import ResourceLimitError, chunk_sizes, parallel_map, subseed, substream
 
 _NODE_CAP = 20_000_000
@@ -110,7 +111,8 @@ def tree_probability(t, d: float) -> float:
     def combine(kids):  # kids: (clause type, (class, nodes, log multiplicity))
         keys = sorted((ct, cls) for ct, (cls, _, _) in kids)
         log_mult = sum(lm for _, (_, _, lm) in kids)
-        log_mult += sum(math.lgamma(m + 1) for m in Counter(keys).values())
+        # sorted keys: each class of equal children is one run
+        log_mult += sum(math.lgamma(len(list(run)) + 1) for _, run in groupby(keys))
         cls = classes.setdefault(tuple(keys), len(classes))
         return cls, 1 + sum(n for _, (_, n, _) in kids), log_mult
 
@@ -359,7 +361,7 @@ def _forest_chunk(args) -> tuple[list[Fraction | None], list[str]]:
                                                  node_cap, depth, live_lam)
     texts = _forest_texts(parent, types, live, count) if dump else []
     pairs = _forest_root_pairs(parent, types, count)
-    shared = {ab: Fraction(*ab) for ab in set(pairs)}  # one Fraction per distinct pair
+    shared = {(a, b): pair_fraction(a, b) for a, b in set(pairs)}  # one per distinct pair
     return [shared[ab] if ok else None for ab, ok in zip(pairs, alive.tolist())], texts
 
 

@@ -10,7 +10,9 @@ is one `fold`, which visits each distinct node once.
 
 Every exact marginal pair follows one rule, `fold_factors` on the integer
 products P = N+ D- and Q = N- D+, with two drivers: `root_marginal` folds
-node objects, and `fold_up` runs the rule inline over a flat forest.
+node objects, and `fold_up` runs the rule inline over a flat forest. Every
+kernel ends in reduced pairs (a, b), and `pair_fraction` turns each into
+its `Fraction` in one step, with no second gcd.
 """
 
 from __future__ import annotations
@@ -84,6 +86,16 @@ def product_pairs(prods) -> list[tuple[int, int]]:
     return out
 
 
+def pair_fraction(a: int, b: int) -> Fraction:
+    """The Fraction a/b of a reduced pair (gcd(a, b) == 1, b > 0), built as
+    CPython 3.12's private `Fraction._from_coprime_ints` does: the object and
+    its two slots, without `Fraction()`'s type checks and gcd. An unreduced
+    pair would give a Fraction unequal to its own value."""
+    q = object.__new__(Fraction)
+    q._numerator, q._denominator = a, b
+    return q
+
+
 def fold_up(parents, types, first: int):
     """Products (P, Q) of every node of a flat forest by one upward pass:
     `product_pairs` and then `fold_factors` per node, inline, from the last
@@ -94,8 +106,9 @@ def fold_up(parents, types, first: int):
     prods = p_prod, q_prod = [1] * n, [1] * n
     for v, p, t in zip(range(n - 1, first - 1, -1), reversed(parents), reversed(types)):
         a, c = p_prod[v], q_prod[v]
-        g = gcd(a, c)
-        if g > 1:
+        if a == c:  # every leaf: the pair 1/2
+            a = c = 1
+        elif (g := gcd(a, c)) > 1:
             a //= g
             c //= g
         if t < 2:
@@ -140,7 +153,7 @@ def _node_pair(kids) -> tuple[int, int]:
 def root_marginal(t) -> Fraction:
     """Exact root marginal by one `fold`, each node's children's pairs
     combined by `fold_factors`; works on any node with `.children`."""
-    return Fraction(*fold(t, _node_pair))
+    return pair_fraction(*fold(t, _node_pair))
 
 
 def negate(t: TreeFormula) -> TreeFormula:

@@ -3,6 +3,7 @@
 import math
 from collections import Counter
 from fractions import Fraction
+from operator import attrgetter
 
 import numpy as np
 import pytest
@@ -22,6 +23,8 @@ from twosatlab import (
     tree_probability,
     construct_rational_tree,
 )
+from twosatlab.analysis import Atom, AtomReport, _check_window
+from twosatlab.gwsim import extinct_marginal_samples
 from twosatlab.util import substream
 
 
@@ -125,6 +128,91 @@ def test_detect_atoms_validates():
     for bad in (np.full(10, 0.5), [0.5] * 10, [Fraction(1, 2), 0.5], theta):
         with pytest.raises(ValueError, match="a MU Population or a list of Fractions"):
             detect_atoms(bad)
+
+
+def detect_atoms_oracle(
+    samples, window: float = 1e-9, max_den: int = 1024, min_count: int = 1
+) -> AtomReport:
+    """`detect_atoms` as it was before its tally keyed on reduced pairs, verbatim:
+    the exact branch builds a Fraction per atom with `Fraction(a, b)`, and
+    `found` is keyed by Fractions in both branches."""
+    _check_window(window, max_den)
+    if isinstance(samples, Population) and samples.kind is Kind.MU:
+        values, exact = samples.samples, False
+    elif isinstance(samples, list) and set(map(type, samples)) <= {Fraction}:
+        values, exact = samples, True
+    else:
+        raise ValueError("detect_atoms takes a MU Population or a list of Fractions")
+
+    n = len(values)
+    if n == 0:
+        raise ValueError("empty sample list")
+
+    found: dict[Fraction, tuple[int, float]] = {}
+    residual = 0
+    if exact:  # reduced (numerator, denominator) keys hash far faster than Fractions
+        for (a, b), c in Counter(map(attrgetter("numerator", "denominator"), values)).items():
+            if c >= min_count:
+                found[Fraction(a, b)] = (c, 0.0)
+            else:
+                residual += c
+    else:
+        s = np.sort(values)
+        brk = np.flatnonzero(np.diff(s) > window) + 1
+        for cluster in np.split(s, brk):
+            c = cluster.size
+            center = float(cluster.mean())
+            width = float(cluster[-1] - cluster[0])
+            frac = snap_to_fraction(center, max_den)
+            if c >= min_count and 0 < frac < 1 and abs(center - float(frac)) <= window:
+                prev = found.get(frac, (0, 0.0))
+                found[frac] = (prev[0] + c, max(prev[1], width))
+            else:
+                residual += c
+
+    atoms = [
+        Atom(value=v, mass=c / n, width=w, count=c) for v, (c, w) in found.items()
+    ]
+    # a/b as a float is correctly rounded, hence monotone: Fractions compare only on float ties
+    atoms.sort(key=lambda a: (-a.count, a.value.numerator / a.value.denominator, a.value))
+    return AtomReport(
+        atoms=atoms,
+        residual_mass=residual / n,
+        total_samples=n,
+        window=window,
+        max_den=max_den,
+        min_count=min_count,
+        exact=exact,
+    )
+
+
+def _mu_population(seed: int) -> Population:
+    """Clusters at small-denominator fractions, two of them more than a 1e-6
+    window apart that snap to 1/4 together, one planted off every fraction,
+    and a sparse tail."""
+    rng = substream(seed, 1)
+    centers = [1 / 2, 1 / 3, 2 / 3, 1 / 4 - 8e-7, 1 / 4 + 8e-7, 2 / 7, 5 / 11,
+               1 / math.sqrt(2.0)]
+    parts = [c + rng.uniform(-2e-7, 2e-7, int(rng.integers(1, 400))) for c in centers]
+    return Population(samples=np.concatenate([*parts, rng.uniform(0, 1, 200)]), kind=Kind.MU)
+
+
+def test_detect_atoms_matches_the_fraction_keyed_oracle():
+    # the same report, field by field (dataclass equality), as the
+    # Fraction-keyed tally gave: atom order, values, counts, masses, widths
+    # and residual
+    cases = []
+    for d, calls in ((0.8, 40), (1.5, 20)):
+        fracs = [q for c in range(calls) for q in extinct_marginal_samples(d, 50, seed=c)
+                 if q is not None]
+        cases += [(fracs, {}), (fracs, {"min_count": 3})]
+    for seed in range(3):
+        cases += [(_mu_population(seed), {"window": 1e-6, "max_den": 16, "min_count": 5}),
+                  (_mu_population(seed), {"window": 1e-6, "max_den": 64})]
+    for samples, kwargs in cases:
+        got, want = detect_atoms(samples, **kwargs), detect_atoms_oracle(samples, **kwargs)
+        assert got == want and all(type(a.value) is Fraction for a in got.atoms)
+        assert len(got.atoms) > 1 and (got.residual_mass > 0 or "min_count" not in kwargs)
 
 
 def test_max_cluster_mass():

@@ -73,6 +73,22 @@ def test_one_memoised_walk_and_one_pair_rule():
     assert _owners(bp_pair) == []
 
 
+def test_one_fraction_of_a_reduced_pair():
+    # `treebp.pair_fraction` alone writes a Fraction's private slots, so one
+    # place trusts that a pair is reduced; a `Fraction(*pair)` left at a kernel
+    # exit would pay the type checks and the gcd again
+    def private_slot(node):
+        return isinstance(node, ast.Attribute) and node.attr in ("_numerator", "_denominator")
+
+    def star_fraction(node):
+        return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "Fraction"
+                and any(isinstance(arg, ast.Starred) for arg in node.args))
+
+    assert set(_owners(private_slot)) == {("treebp.py", "pair_fraction")}
+    assert _owners(star_fraction) == []
+
+
 def test_every_export_has_a_caller_outside_the_tests():
     # an export that only the tests use is a layer to delete, or an oracle to
     # move into the tests; the benchmark script is read, never written

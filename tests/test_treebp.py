@@ -5,6 +5,8 @@ import pickle
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from twosatlab import (
     ClauseType,
@@ -21,8 +23,9 @@ from twosatlab import (
     to_formula,
 )
 from twosatlab.acceptance import random_tree
-from twosatlab.gwsim import tree_probability
-from twosatlab.treebp import expanded_size, fold
+from twosatlab.formula import exact_marginals, generate_formula
+from twosatlab.gwsim import extinct_marginal_samples, tree_probability
+from twosatlab.treebp import expanded_size, fold, pair_fraction
 from twosatlab.util import EXPAND_CAP, substream
 
 
@@ -49,6 +52,48 @@ def bp_pair(entries) -> tuple[int, int]:
     y = x + n_minus * d_plus
     g = math.gcd(x, y)
     return x // g, y // g
+
+
+@st.composite
+def reduced_pairs(draw):
+    """(a, b) with 0 < a < b and gcd 1, small or past 2^64."""
+    b = draw(st.one_of(st.integers(2, 1000), st.integers(2**64, 2**200)))
+    a = draw(st.integers(1, b - 1))
+    g = math.gcd(a, b)
+    return a // g, b // g
+
+
+@settings(max_examples=300, deadline=None)
+@given(reduced_pairs(), st.builds(Fraction, st.integers(-2**70, 2**70), st.integers(1, 2**70)))
+@example((1, 2), Fraction(1, 2))
+@example((2**64 + 1, 2**65 + 3), Fraction(2**64 + 1, 2**65 + 3))
+def test_pair_fraction_is_the_fraction_of_its_pair(ab, other):
+    a, b = ab
+    got, want = pair_fraction(a, b), Fraction(a, b)
+    assert type(got) is Fraction
+    assert got == want and hash(got) == hash(want)
+    assert (str(got), repr(got), float(got)) == (str(want), repr(want), float(want))
+    assert (got.numerator, got.denominator) == (want.numerator, want.denominator) == (a, b)
+    back = pickle.loads(pickle.dumps(got))
+    assert back == want and (back.numerator, back.denominator) == (a, b)
+    assert got + other == want + other and (got < other) == (want < other)
+    assert (other < got) == (other < want) and (got == other) == (want == other)
+
+
+def test_exact_kernels_return_reduced_fractions():
+    # `pair_fraction` trusts its pair: an unreduced one would build a Fraction
+    # unequal to its own value, so every kernel exit must hand it reduced pairs
+    def reduced(q):
+        return q.denominator > 0 and math.gcd(q.numerator, q.denominator) == 1
+
+    for d in (0.8, 1.0, 1.5):
+        samples = extinct_marginal_samples(d, 400, seed=11, node_cap=2000)
+        assert all(reduced(q) for q in samples if q is not None), d
+    for n, d in ((3000, 0.8), (400, 1.5), (200, 1.2)):
+        for seed in (1, 2, 3):
+            marginals = exact_marginals(generate_formula(n, d, seed))
+            assert marginals is not None and all(map(reduced, marginals.values())), (n, d, seed)
+    assert all(reduced(root_marginal(construct_rational_tree(a, 13))) for a in range(1, 13))
 
 
 def test_isolated_root():
