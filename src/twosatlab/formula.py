@@ -24,7 +24,7 @@ from .treebp import TYPE_INDEX, fold_factors, fold_up, pair_fraction, product_pa
 from .util import COMPONENT_CAP, ENUM_CAP, ResourceLimitError, substream
 
 _ELIM_WIDTH_CAP = 22
-_BLOCK_BITS = 20
+_BLOCK_BITS = 14  # larger blocks push the clause gathers out of the cache
 
 
 @dataclass(frozen=True, eq=False)
@@ -93,52 +93,29 @@ def generate_formula(n: int, d: float, seed: int) -> Formula:
 def count_solutions(f: Formula, cap: int = ENUM_CAP) -> SolutionStats:
     """Count satisfying assignments by exhaustive enumeration.
 
-    Enumerates over the variables that actually appear in clauses; each
-    absent variable contributes a factor 2 to the count and count/2 to its
-    own true-count. Exact; cost 2^k for k present variables.
+    Enumerates the k variables in clauses as one boolean matrix per block of
+    2^_BLOCK_BITS assignments, row p set where present[p] is +1; each absent
+    variable doubles the count and takes half of it. Exact; cost 2^k.
     """
-    present = np.unique(f.clauses[:, [0, 2]]) if f.m else np.array([], dtype=np.int64)
-    k = len(present)
-    if k > cap:
-        raise ResourceLimitError(
-            f"enumeration over {k} variables exceeds cap {cap}"
-        )
-    pos = {int(v): p for p, v in enumerate(present)}
-
-    enum_count = 0
-    true_enum = np.zeros(k, dtype=object)
-    if k == 0:
-        enum_count = 1
-    else:
-        pi = np.array([pos[int(v)] for v in f.clauses[:, 0]], dtype=np.int64)
-        pj = np.array([pos[int(v)] for v in f.clauses[:, 2]], dtype=np.int64)
-        # literal s*x is false iff the assignment bit equals (s < 0)
-        fi = (f.clauses[:, 1] < 0).astype(np.uint64)
-        fj = (f.clauses[:, 3] < 0).astype(np.uint64)
-        block = 1 << min(_BLOCK_BITS, k)
-        for start in range(0, 1 << k, block):
-            a = np.arange(start, start + block, dtype=np.uint64)
-            sat = np.ones(block, dtype=bool)
-            for c in range(f.m):
-                viol = (((a >> np.uint64(pi[c])) & np.uint64(1)) == fi[c]) & (
-                    ((a >> np.uint64(pj[c])) & np.uint64(1)) == fj[c]
-                )
-                sat &= ~viol
-            good = a[sat]
-            enum_count += int(good.size)
-            for p in range(k):
-                true_enum[p] += int((((good >> np.uint64(p)) & np.uint64(1)) != 0).sum())
-
-    free = f.n - k
-    count = enum_count << free
-    true_counts = [0] * f.n
-    if count:
-        for v, p in pos.items():
-            true_counts[v - 1] = int(true_enum[p]) << free
-        half = count >> 1
-        for v in range(1, f.n + 1):
-            if v not in pos:
-                true_counts[v - 1] = half
+    present = np.unique(f.clauses[:, [0, 2]])
+    if (k := len(present)) > cap:
+        raise ResourceLimitError(f"enumeration over {k} variables exceeds cap {cap}")
+    cl = np.unique(f.clauses, axis=0)  # a repeat would hold a 2^_BLOCK_BITS row of its own
+    pi, pj = np.searchsorted(present, cl[:, [0, 2]]).T  # the clause ends' rows
+    fi, fj = cl[:, [1, 3]].T < 0  # literal s*x is false iff x's bit equals (s < 0)
+    enum_count, true_enum, block = 0, np.zeros(k, dtype=np.int64), 1 << _BLOCK_BITS
+    for lo in range(0, 1 << k, block):
+        # row p holds bit p of each assignment, unpacked from its little-endian bytes
+        a = np.arange(lo, min(lo + block, 1 << k), dtype="<u8").view(np.uint8).reshape(-1, 8)
+        bits = np.unpackbits(a, axis=1, count=k, bitorder="little").T.copy().view(bool)
+        # an assignment survives when no clause has both literals false
+        good = ~((bits[pi] == fi[:, None]) & (bits[pj] == fj[:, None])).any(axis=0)
+        enum_count += int(np.count_nonzero(good))
+        true_enum += np.count_nonzero(bits[:, good], axis=1)
+    count = enum_count << (free := f.n - k)
+    true_counts = [count >> 1] * f.n
+    for v, t in zip(present.tolist(), true_enum.tolist()):
+        true_counts[v - 1] = t << free
     return SolutionStats(count=count, true_counts=true_counts)
 
 
@@ -176,11 +153,11 @@ def is_satisfiable(f: Formula) -> bool:
 # A linear strong-components pass over the core's implication graph,
 # `_satisfiable`, decides the component before any table exists: a tree
 # cannot make it unsatisfiable, since either value of its root extends to
-# the tree. The trees fold upward, and each root's products (P, Q) join its
-# bucket as a unary factor; one min-degree variable elimination of the core
-# (forward pass) yields the count Z, one calibration of its bucket tree
-# (backward pass) every core variable's counts, and the trees' downward
-# pass starts from each root's counts (plus, Z - plus). A bucket over w
+# the tree. Every core variable roots a tree, bare or not; the trees fold
+# upward, and each root's products (P, Q) join its bucket as a unary
+# factor; one min-degree elimination of the core (forward pass) yields the
+# count Z, one calibration of its bucket tree (backward pass) each root's
+# counts (plus, Z - plus), and the downward pass starts there. A bucket over w
 # variables is a list of 2^w Python ints; w above `_ELIM_WIDTH_CAP`, or more
 # cells over all of the core's buckets than 2^(_ELIM_WIDTH_CAP + 1), is a
 # ResourceLimitError raised before any table exists. Width alone does not
@@ -242,8 +219,8 @@ def _split(members: list, adj: list, peel: bool) -> tuple[dict, list, list]:
     repeated clause counts twice); it hangs below the variable at that
     clause's other end. Returns the core's neighbour sets, its rows
     (i, s_i, j, s_j), each once, and the pendant trees in `_forest_up` form,
-    gens[0] holding the core variables with a tree below. Without `peel` the
-    core is the whole component.
+    gens[0] holding every core variable, with a tree below it or none.
+    Without `peel` the core is the whole component.
     """
     deg = {u: len(adj[u]) for u in members}
     leaves = [u for u, k in deg.items() if k == 1] if peel else []
@@ -266,7 +243,7 @@ def _split(members: list, adj: list, peel: bool) -> tuple[dict, list, list]:
                     others.add(w)
                     if w > u:
                         rows.append(row)
-    gens, level = [], [(u, 0, 0, 0) for u in nb if u in kids]
+    gens, level = [], [(u, 0, 0, 0) for u in nb]
     while level:
         gens.append(level)
         level = [(u, k, r, t) for k, (w, *_) in enumerate(level) for u, r, t in kids.get(w, ())]
@@ -337,8 +314,8 @@ def _spread(scope: tuple, into: tuple) -> list[int]:
 def _component_counts(nb: dict[int, set], rows: list, unary: dict[int, tuple]) -> tuple[int, dict]:
     """Solution count Z of a connected component and, if Z > 0, its number of
     solutions with x = +1 for each variable x. Consumes `nb`, the neighbour
-    sets; `rows` are the component's clauses (i, s_i, j, s_j), and unary[v] =
-    (P, Q) weighs v = +1 by P and v = -1 by Q."""
+    sets; `rows` are the component's clauses (i, s_i, j, s_j), and for every
+    variable v, unary[v] = (P, Q) weighs v = +1 by P and v = -1 by Q."""
     # min-degree order; bucket v is over (v, *separator), the separator being
     # v's neighbours, fill-in included, when v is eliminated
     scope: dict[int, tuple] = {}
@@ -362,9 +339,7 @@ def _component_counts(nb: dict[int, set], rows: list, unary: dict[int, tuple]) -
                                  f"budget {2 << _ELIM_WIDTH_CAP}")
     order = list(scope)
     rank = {v: k for k, v in enumerate(order)}
-    table = {v: [1] * (1 << len(s)) for v, s in scope.items()}
-    for v, (p, q) in unary.items():  # bit 0 of v's own bucket is v
-        table[v] = [q, p] * (1 << len(scope[v]) - 1)
+    table = {v: [q, p] * (1 << len(scope[v]) - 1) for v, (p, q) in unary.items()}  # bit 0 is v
     for i, si, j, sj in rows:  # each clause joins the bucket eliminated first
         v = i if rank[i] < rank[j] else j
         bi, bj = 1 << scope[v].index(i), 1 << scope[v].index(j)
@@ -469,11 +444,10 @@ def exact_marginals(
                 return None
             forest = _forest_up(hanging)
             p_prod, q_prod = forest[-1]
-            roots = [e[0] for e in hanging[0]] if hanging else []
+            roots = [e[0] for e in hanging[0]]  # every core variable
             z, plus = _component_counts(nb, rows, dict(zip(roots, zip(p_prod, q_prod))))
             if z == 0:
                 return None
-            pairs.update((u, (c // (h := gcd(c, z)), z // h)) for u, c in plus.items())
             for k, u in enumerate(roots):  # the trees' downward pass starts from here
                 p_prod[k], q_prod[k] = plus[u], z - plus[u]
             pairs.update(_forest_pairs(forest))

@@ -175,7 +175,10 @@ def construct_rational_tree(a: int, b: int) -> TreeFormula:
     1/(b-1); fractions above 1/2 are negations; the rest is
     join(a/(b-1), 1 - (a-1)/(b-1)) which joins to exactly a/b. The memo
     maps each reduced fraction to its tree and that tree's negation, built
-    together, so a/b has at most b^2/4 distinct nodes (no copies).
+    together, so a/b has at most b^2/4 distinct nodes (no copies). Each
+    memo entry adds or aliases a node the root reaches, and the stack's
+    pending chain, at least half of it, joins the memo: past 2 EXPAND_CAP + 1
+    of those the expansion passes EXPAND_CAP, a ResourceLimitError.
     """
     if not (isinstance(a, int) and isinstance(b, int)):
         raise ValueError("numerator and denominator must be integers")
@@ -191,6 +194,9 @@ def construct_rational_tree(a: int, b: int) -> TreeFormula:
     root = (a // g, b // g)
     stack = [root]  # explicit: the chain below 1/b alone is b - 2 steps deep
     while stack:
+        if len(memo) + len(stack) // 2 > 2 * EXPAND_CAP + 1:
+            raise ResourceLimitError(f"{a}/{b} needs over {2 * EXPAND_CAP + 1} reduced "
+                                     f"fractions, so its tree expands past cap {EXPAND_CAP}")
         x, y = key = stack[-1]
         if key in memo:
             stack.pop()

@@ -280,6 +280,25 @@ def test_memory_error_exits_resource_limit(tmp_path):
     assert res.stderr.splitlines()[-1].startswith("resource limit: ")
 
 
+@pytest.mark.parametrize("fraction", ["4321/99991", "1/3000000"])
+def test_construct_tree_past_the_construction_bound_exits_resource_limit(fraction, tmp_path):
+    # 4321/99991 fills the memo, 1/3000000 the stack's pending chain; a build
+    # that ran on past the bound would exhaust the child's 1.5 GB limit
+    import resource
+
+    def limit_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (1536 * 2**20, 1536 * 2**20))
+
+    res = subprocess.run(
+        [sys.executable, "-m", "twosatlab", "construct-tree", fraction], cwd=tmp_path,
+        capture_output=True, text=True, env=child_env(), preexec_fn=limit_address_space,
+        timeout=120)
+    assert res.returncode == 3, res.stderr
+    assert res.stdout == ""
+    assert res.stderr == (f"resource limit: {fraction} needs over 131073 reduced fractions, "
+                          "so its tree expands past cap 65536\n")
+
+
 def test_deep_survival_forest_exits_at_the_node_budget(tmp_path, monkeypatch, capsys):
     # 2,000 trees cut 25 generations down would need about 2.6e8 nodes; the
     # chunk stops at the budget (lowered here to keep the test small)

@@ -3,7 +3,7 @@
 import io
 import math
 from fractions import Fraction
-from itertools import cycle
+from itertools import cycle, product
 
 import numpy as np
 import pytest
@@ -15,6 +15,7 @@ from scipy.sparse.csgraph import connected_components
 from twosatlab import (
     Formula,
     ResourceLimitError,
+    SolutionStats,
     count_solutions,
     empirical_marginal_measure,
     exact_marginals,
@@ -107,6 +108,53 @@ def test_count_cap_error():
     f = generate_formula(200, 1.5, seed=1)
     with pytest.raises(ResourceLimitError, match="cap"):
         count_solutions(f, cap=28)
+
+
+@st.composite
+def enumerable_formulas(draw, max_vars=10):
+    """Formulas over at most max_vars variables, some in no clause: random
+    clauses, some repeated with fresh signs, none at all, or all four
+    clauses on one pair, which leave no solution."""
+    n = draw(st.integers(0, max_vars), label="n")
+    if n < 2:
+        return Formula(n=n, clauses=np.empty((0, 4), dtype=np.int64))
+    pair = st.lists(st.integers(1, n), min_size=2, max_size=2, unique=True)
+    sign = st.sampled_from([-1, 1])
+    clauses = [[i, draw(sign), j, draw(sign)]
+               for i, j in draw(st.lists(pair, max_size=2 * n), label="pairs")]
+    if clauses:
+        picks = draw(st.lists(st.sampled_from(clauses), max_size=3), label="repeats")
+        clauses += [[i, draw(sign), j, draw(sign)] for i, _, j, _ in picks]
+    if draw(st.booleans(), label="contradiction"):
+        i, j = draw(pair)
+        clauses += [[i, si, j, sj] for si in (-1, 1) for sj in (-1, 1)]
+    return Formula(n=n, clauses=np.array(clauses, dtype=np.int64).reshape(-1, 4))
+
+
+def brute_force_stats(f: Formula) -> SolutionStats:
+    """Solution count and true-counts over all 2^n assignments, one by one."""
+    rows = f.clauses.tolist()
+    count, true = 0, [0] * f.n
+    for x in product((-1, 1), repeat=f.n):
+        if all(si * x[i - 1] > 0 or sj * x[j - 1] > 0 for i, si, j, sj in rows):
+            count += 1
+            true = [t + (v > 0) for t, v in zip(true, x)]
+    return SolutionStats(count=count, true_counts=true)
+
+
+@pytest.mark.parametrize("block_bits", [formula._BLOCK_BITS, 2])
+@settings(max_examples=150, deadline=None)
+@given(enumerable_formulas())
+@example(Formula(n=0, clauses=np.empty((0, 4), dtype=np.int64)))
+@example(Formula(n=10, clauses=[[1, 1, 2, -1]]))
+@example(CONTRADICTION)
+def test_count_solutions_matches_brute_force(block_bits, f):
+    # at 2 block bits every formula on more than two variables spans blocks
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(formula, "_BLOCK_BITS", block_bits)
+        stats = count_solutions(f)
+    assert stats == brute_force_stats(f)
+    assert all(type(c) is int for c in [stats.count, *stats.true_counts])
 
 
 def test_satisfiability_examples():
@@ -390,34 +438,39 @@ def test_tree_kernel_past_the_recursion_limit():
 
 
 def test_only_cyclic_components_reach_elimination(monkeypatch):
-    seen = []
+    seen, factors = [], {}
     kernel = formula._component_counts
 
     def counting(nb, rows, unary):
         seen.append((sorted(nb), sorted(unary)))
+        factors.update(unary)
         return kernel(nb, rows, unary)
 
     monkeypatch.setattr(formula, "_component_counts", counting)
     forest = Formula(n=9, clauses=[[1, 1, 2, -1], [3, -1, 4, 1], [4, 1, 5, 1],
                                    [4, -1, 6, -1], [8, 1, 7, 1]])
     assert exact_marginals(forest) == exact_marginals(forest, eliminate_trees=True)
-    # only the eliminate_trees call, whole components and no unary factor
-    assert seen == [([1, 2], []), ([3, 4, 5, 6], []), ([7, 8], [])]
+    # only the eliminate_trees call, whole components, every variable a bare
+    # root whose unary factor is (1, 1)
+    assert seen == [([1, 2], [1, 2]), ([3, 4, 5, 6], [3, 4, 5, 6]), ([7, 8], [7, 8])]
+    assert set(factors.values()) == {(1, 1)}
     seen.clear()
     # the same forest with a 2-cycle on variables 9 and 10
     f = Formula(n=10, clauses=[*forest.clauses.tolist(), [9, 1, 10, 1], [10, -1, 9, 1]])
     marg = exact_marginals(f)
     assert (marg[9], marg[10]) == (1, Fraction(1, 2))  # x9 is forced
-    assert seen == [([9, 10], [])]
+    assert seen == [([9, 10], [9, 10])] and factors[9] == factors[10] == (1, 1)
     seen.clear()
     # and a triangle 11-12-13 with a path 13-14-15 and a clause 11-16 hanging
     # off it: the pendant variables 14, 15 and 16 never reach elimination,
-    # their trees enter as unary factors on the roots 11 and 13
+    # their trees enter as unary factors on the roots 11 and 13, and the
+    # bare root 12 enters with (1, 1)
     g = Formula(n=16, clauses=[*f.clauses.tolist(), [11, 1, 12, 1], [12, -1, 13, 1],
                                [13, -1, 11, -1], [13, 1, 14, -1], [14, 1, 15, 1],
                                [16, -1, 11, 1]])
     marg = exact_marginals(g)
-    assert seen == [([9, 10], []), ([11, 12, 13], [11, 13])]
+    assert seen == [([9, 10], [9, 10]), ([11, 12, 13], [11, 12, 13])]
+    assert factors[12] == (1, 1) and (1, 1) not in (factors[11], factors[13])
     stats = count_solutions(g)
     assert marg == {v: stats.marginal(v) for v in range(1, g.n + 1)}
 
