@@ -14,7 +14,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import attrgetter
+from typing import NamedTuple
 
 import numpy as np
 
@@ -46,8 +46,9 @@ def max_cluster_mass(samples: np.ndarray, window: float) -> float:
     return float((hi - np.arange(s.size)).max() / s.size)
 
 
-@dataclass(frozen=True)
-class Atom:
+class Atom(NamedTuple):
+    """One atom: a tuple, so built with no per-field `__setattr__`."""
+
     value: Fraction
     mass: float
     width: float
@@ -102,8 +103,10 @@ def detect_atoms(
     are sorted, split into clusters at gaps wider than `window`, and each
     cluster center is snapped to the nearest fraction with denominator <=
     max_den; clusters that are too small or do not snap within the window
-    land in residual_mass. Either tally keys an atom by its reduced pair,
-    and each atom's Fraction is built once, at the end.
+    land in residual_mass. Either tally keys an atom by its reduced pair (for
+    Fractions, one `as_integer_ratio` call per sample); the tallies are
+    sorted as plain rows, so each atom's Fraction and record are built once,
+    in final order.
     """
     _check_window(window, max_den)
     if isinstance(samples, Population) and samples.kind is Kind.MU:
@@ -121,7 +124,7 @@ def detect_atoms(
     found: dict[tuple[int, int], tuple[int, float]] = {}
     residual = 0
     if exact:
-        for ab, c in Counter(map(attrgetter("numerator", "denominator"), values)).items():
+        for ab, c in Counter(map(Fraction.as_integer_ratio, values)).items():
             if c >= min_count:
                 found[ab] = (c, 0.0)
             else:
@@ -141,12 +144,11 @@ def detect_atoms(
             else:
                 residual += c
 
-    atoms = [Atom(value=pair_fraction(a, b), mass=c / n, width=w, count=c)
-             for (a, b), (c, w) in found.items()]
-    # a/b as a float is correctly rounded, hence monotone: Fractions compare only on float ties
-    atoms.sort(key=lambda a: (-a.count, a.value.numerator / a.value.denominator, a.value))
+    # a/b as a float is correctly rounded, hence monotone: Fractions compare only on float
+    # ties, and no two keys are equal, so the sort never reaches the width
+    rows = sorted((-c, a / b, pair_fraction(a, b), w) for (a, b), (c, w) in found.items())
     return AtomReport(
-        atoms=atoms,
+        atoms=[Atom(q, -neg / n, w, -neg) for neg, _, q, w in rows],
         residual_mass=residual / n,
         total_samples=n,
         window=window,

@@ -9,13 +9,13 @@ Exit codes: 0 ok, 1 verification failure, 2 invalid arguments, 3 resource
 limits.
 
 Each subcommand imports the numeric modules it runs, so the exact rational
-ones (`construct-tree`, `tree-bp`) start without numpy.
+ones (`construct-tree`, `tree-bp`) start without numpy, and `construct-tree`
+without `json`.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
@@ -56,11 +56,15 @@ def _write(text: str, path=None) -> None:
 
 
 def _emit_json(payload: dict, cfg: dict, path=None) -> None:
+    import json
+
     _write(json.dumps({"config": cfg, **payload}, indent=2, sort_keys=True) + "\n", path)
 
 
 def _write_csv(path: str, cfg: dict, header: str, rows) -> None:
     """Write a CSV artifact: a `# config:` line, the header, then the rows."""
+    import json
+
     lines = [f"# config: {json.dumps(cfg, sort_keys=True)}", header, *rows]
     _write("".join(line + "\n" for line in lines), path)
 
@@ -118,14 +122,8 @@ def cmd_tree_bp(args, cfg):
         with open(args.infile) as fh:
             t = treebp.parse_tree(fh.read())
     q = treebp.root_marginal(t)
-    _emit_json(
-        {
-            "marginal": f"{q.numerator}/{q.denominator}",
-            "marginal_float": float(q),
-            "log_likelihood": treebp.log_likelihood(q),
-        },
-        cfg,
-    )
+    _emit_json({"marginal": f"{q.numerator}/{q.denominator}", "marginal_float": float(q),
+                "log_likelihood": treebp.log_likelihood(q)}, cfg)
 
 
 def cmd_construct_tree(args, cfg):

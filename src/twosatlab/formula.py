@@ -94,22 +94,28 @@ def count_solutions(f: Formula, cap: int = ENUM_CAP) -> SolutionStats:
     """Count satisfying assignments by exhaustive enumeration.
 
     Enumerates the k variables in clauses as one boolean matrix per block of
-    2^_BLOCK_BITS assignments, row p set where present[p] is +1; each absent
-    variable doubles the count and takes half of it. Exact; cost 2^k.
+    2^_BLOCK_BITS assignments, row p set where present[p] is +1; the clause
+    gathers reuse two buffers. Each absent variable doubles the count and
+    takes half of it. Exact; cost 2^k.
     """
     present = np.unique(f.clauses[:, [0, 2]])
     if (k := len(present)) > cap:
         raise ResourceLimitError(f"enumeration over {k} variables exceeds cap {cap}")
     cl = np.unique(f.clauses, axis=0)  # a repeat would hold a 2^_BLOCK_BITS row of its own
     pi, pj = np.searchsorted(present, cl[:, [0, 2]]).T  # the clause ends' rows
-    fi, fj = cl[:, [1, 3]].T < 0  # literal s*x is false iff x's bit equals (s < 0)
-    enum_count, true_enum, block = 0, np.zeros(k, dtype=np.int64), 1 << _BLOCK_BITS
-    for lo in range(0, 1 << k, block):
+    fi, fj = (cl[:, [1, 3]].T < 0)[:, :, None]  # literal s*x is false iff x's bit is s < 0
+    enum_count, true_enum, block = 0, np.zeros(k, dtype=np.int64), 1 << min(k, _BLOCK_BITS)
+    # one pair of gather buffers per call: fresh pages in every block cost more than the work
+    gi, gj = np.empty((2, len(cl), block), dtype=bool)
+    for lo in range(0, 1 << k, block):  # powers of two: every block is full
         # row p holds bit p of each assignment, unpacked from its little-endian bytes
-        a = np.arange(lo, min(lo + block, 1 << k), dtype="<u8").view(np.uint8).reshape(-1, 8)
+        a = np.arange(lo, lo + block, dtype="<u8").view(np.uint8).reshape(-1, 8)
         bits = np.unpackbits(a, axis=1, count=k, bitorder="little").T.copy().view(bool)
+        np.take(bits, pi, axis=0, out=gi, mode="clip")  # "clip" writes out= unbuffered
+        np.take(bits, pj, axis=0, out=gj, mode="clip")
         # an assignment survives when no clause has both literals false
-        good = ~((bits[pi] == fi[:, None]) & (bits[pj] == fj[:, None])).any(axis=0)
+        np.logical_and(np.equal(gi, fi, out=gi), np.equal(gj, fj, out=gj), out=gi)
+        good = ~gi.any(axis=0)
         enum_count += int(np.count_nonzero(good))
         true_enum += np.count_nonzero(bits[:, good], axis=1)
     count = enum_count << (free := f.n - k)

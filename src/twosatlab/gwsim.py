@@ -15,7 +15,7 @@ marks, which only depend on counts.
 
 Sampled trees (`tree_marginal_samples`) are flat arrays, not node objects:
 each chunk draws from one generator, grows its forest a generation at a
-time on one node numbering (parents, live marks under survival
+time as child counts on one node numbering (live marks under survival
 conditioning, a depth cut), then draws the clause types once. One pass from
 the last node up (`treebp.fold_up`, the two-product rule) gives the exact
 root pairs. A tree over node_cap nodes leaves the frontier once past the cap
@@ -275,57 +275,63 @@ def _grow_forest(rng, count: int, lam: float, node_cap: int, depth: int | None =
     types, sizes, alive, live): roots are nodes 0..count-1, generation g has
     sizes[g] nodes, and node count + j hangs below parent[j] through
     CLAUSE_TYPES[types[j]]. Parents ascend, so siblings are contiguous, live
-    ones first (live flags them; None without live_lam). alive[k] is False
-    exactly when tree k has more than node_cap nodes, and then only its root
-    is kept: every node's tree id, kept from the moment the total passes the
-    cap, drops the rest at the end. The types are drawn last, for the kept
-    nodes only.
+    ones first (live flags them; None without live_lam). A generation is
+    only its child counts: `parent` is one repeat of the node numbers over
+    all of them at the end. alive[k] is False exactly when tree k has more
+    than node_cap nodes, and then only its root is kept: from the moment the
+    total passes the cap, every generation's tree ids are kept, a node of an
+    oversize tree gets no children, and the rest of the tree goes at the end.
+    The types are drawn last, for the kept nodes only.
     """
     live = None if live_lam is None else np.ones(count, dtype=bool)
-    parents, marks, sizes = [], [live], [count]
-    start, total = 0, count  # first frontier node, nodes kept so far
-    trees, size = [], None  # tree ids of the nodes and tree sizes, kept once total > node_cap
-    while depth is None or len(parents) < depth:
+    counts, marks, sizes = [], [live], [count]  # per generation: child counts of its nodes
+    total = count  # nodes kept so far
+    trees, size = [], None  # tree ids per generation and tree sizes, kept once total > node_cap
+    while depth is None or len(counts) < depth:
         n = sizes[-1]
         kids = rng.poisson(lam, size=n)
         if live is not None:
             owners = np.flatnonzero(live)[zero_truncated_owners(rng, live_lam, int(live.sum()))]
             n_live = np.bincount(owners, minlength=n)
             kids += n_live
-        if depth is not None and total + int(kids.sum()) > _NODE_BUDGET:
+        if n < 64:  # a list sum and no copy: fewer numpy calls on a small generation
+            m = sum(kids.tolist())
+        else:  # int32 counts keep 4 bytes per node of a large forest until the end
+            m, kids = int(kids.sum()), kids.astype(np.int32)
+        if depth is not None and total + m > _NODE_BUDGET:
             raise ResourceLimitError(f"{count} trees cut at depth {depth} would pass "
                                      f"the budget of {_NODE_BUDGET} nodes per chunk")
-        # int32 ids: _NODE_BUDGET bounds a depth-cut forest, and memory runs
-        # out long before an extinct one nears 2^31 nodes
-        parent = np.arange(start, start + n, dtype=np.int32).repeat(kids)
-        if not parent.size:  # no child anywhere
+        if not m:  # no child anywhere
             break
-        if live is not None:  # the first n_live[p] children of node p are live
-            live = np.arange(parent.size) < (np.cumsum(kids) - kids + n_live)[parent - start]
-        if total + parent.size > node_cap:  # before, no tree can be over the cap
+        if size is not None or total + m > node_cap:  # before, no tree can be over the cap;
+            # after, the kept total can fall back under it, and the ids still follow
             if size is None:
-                tree = np.arange(count, dtype=np.int32)  # the tree of every node so far
-                for above in parents:
-                    tree = np.concatenate([tree, tree[above]])
-                trees, size, tree = [tree], np.bincount(tree, minlength=count), tree[start:]
-            tree = tree[parent - start]
-            size += np.bincount(tree, minlength=count)
-            keep = (size <= node_cap)[tree]
-            if not keep.all():
-                parent, tree = parent[keep], tree[keep]
-                live = None if live is None else live[keep]
-            trees.append(tree)
-        parents.append(parent)
+                trees = [np.arange(count, dtype=np.int32)]  # the tree of every node so far
+                for above in counts:
+                    trees.append(trees[-1].repeat(above))
+                size = np.bincount(np.concatenate(trees), minlength=count)
+            tree = trees[-1]
+            size += np.bincount(tree.repeat(kids), minlength=count)
+            kids[size[tree] > node_cap] = 0  # drops exactly the children in oversize trees
+            trees.append(tree.repeat(kids))
+            m = trees[-1].size
+        if live is not None:  # the first n_live[p] children of node p are live
+            live = np.arange(m) < (np.cumsum(kids) - kids + n_live).repeat(kids)
+        counts.append(kids)
         marks.append(live)
-        sizes.append(parent.size)
-        start, total = total, total + parent.size
-    parent = np.concatenate(parents) if parents else np.zeros(0, dtype=np.int32)
+        sizes.append(m)
+        total += m
+    # int32 ids: _NODE_BUDGET bounds a depth-cut forest, and memory runs out
+    # long before an extinct one nears 2^31 nodes; intp counts: `repeat` casts no copy
+    kids = np.concatenate(counts, dtype=np.intp) if counts else np.zeros(0, dtype=np.intp)
+    parent = np.arange(kids.size, dtype=np.int32).repeat(kids)
     live = None if live is None else np.concatenate(marks)
     alive = np.full(count, node_cap >= 1) if size is None else size <= node_cap
     if trees and not alive.all():  # keep the roots and the nodes of trees within the cap
         keep = alive[np.concatenate(trees)]
         keep[:count] = True
-        index = np.cumsum(keep, dtype=np.int32) - 1  # new position of each kept node
+        index = np.cumsum(keep, dtype=np.int32)
+        index -= 1  # new position of each kept node, in place: no second node-long array
         kept = np.diff(index[np.cumsum(sizes) - 1], prepend=-1).tolist()  # per generation
         parent, sizes = index[parent[keep[count:]]], [k for k in kept if k]  # trailing zeros
         live = None if live is None else live[keep]

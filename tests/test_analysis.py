@@ -215,6 +215,38 @@ def test_detect_atoms_matches_the_fraction_keyed_oracle():
         assert len(got.atoms) > 1 and (got.residual_mass > 0 or "min_count" not in kwargs)
 
 
+def test_atoms_with_one_float_value_come_in_exact_order():
+    # two reduced fractions past 2^53 in the denominator that round to the
+    # same float as 1/3: equal counts and equal floats leave the exact value
+    # to order them, and the smaller one has the larger numerator, so an
+    # order by (numerator, denominator) would put 1/3 first
+    third, below = Fraction(1, 3), Fraction(2**60, 3 * 2**60 + 1)
+    assert below < third and float(below) == float(third) and below.numerator > 1
+    for samples in ([third, below] * 3 + [Fraction(1, 2)] * 4,
+                    [below, third] * 3 + [Fraction(1, 2)] * 4):
+        report = detect_atoms(samples)
+        assert [(a.value, a.count) for a in report.atoms] == [
+            (Fraction(1, 2), 4), (below, 3), (third, 3)]
+
+
+def test_atom_record_contract():
+    # an immutable record of four fields: assignment raises, equality and
+    # hash go field by field, and its dict is the report's JSON shape
+    atom = Atom(Fraction(2, 3), 0.25, 0.0, 5)
+    with pytest.raises(AttributeError):
+        atom.count = 6
+    assert atom == Atom(value=Fraction(2, 3), mass=0.25, width=0.0, count=5)
+    assert hash(atom) == hash(Atom(Fraction(4, 6), 0.25, 0.0, 5))
+    for other in (Atom(Fraction(1, 3), 0.25, 0.0, 5), Atom(Fraction(2, 3), 0.5, 0.0, 5),
+                  Atom(Fraction(2, 3), 0.25, 1e-9, 5), Atom(Fraction(2, 3), 0.25, 0.0, 4)):
+        assert atom != other
+    assert len({atom, Atom(Fraction(2, 3), 0.25, 0.0, 5), Atom(Fraction(2, 3), 0.25, 0.0, 4)}) == 2
+    assert atom.as_dict() == {"num": "2", "den": "3", "mass": 0.25, "width": 0.0, "count": 5}
+    assert detect_atoms([Fraction(2, 3)] * 3 + [Fraction(1, 7)]).as_dict()["atoms"] == [
+        {"num": "2", "den": "3", "mass": 0.75, "width": 0.0, "count": 3},
+        {"num": "1", "den": "7", "mass": 0.25, "width": 0.0, "count": 1}]
+
+
 def test_max_cluster_mass():
     samples = np.concatenate([np.full(100, 0.25), np.linspace(0.3, 0.9, 900)])
     assert max_cluster_mass(samples, 1e-9) == pytest.approx(0.1)

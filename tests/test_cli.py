@@ -596,10 +596,11 @@ def test_package_import_loads_no_numpy():
                          ids=["construct-tree", "tree-bp"])
 def test_exact_subcommands_load_no_numpy(argv):
     # the cold start of `construct-tree` is the benchmark's setup_s: a new
-    # import on this path fails here
+    # import on this path fails here; it writes no JSON, `tree-bp` does
     loaded = _modules_after(f"from twosatlab.cli import main\nassert main({argv!r}) == 0")
     assert not {m.split(".")[0] for m in loaded} & {"numpy", "multiprocessing", "scipy",
                                                      "dataclasses", "inspect"}
+    assert ("json" in loaded) == (argv[0] == "tree-bp")
     assert {m for m in loaded if m.split(".")[0] == "twosatlab"} == {
         "twosatlab", "twosatlab.cli", "twosatlab.treebp", "twosatlab.util"}
 

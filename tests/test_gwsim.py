@@ -18,9 +18,10 @@ from twosatlab import (
     tree_probability,
 )
 from twosatlab.acceptance import INCREMENT_DENSITIES
-from twosatlab.densityev import Kind, Population, poisson_owners
+from twosatlab.densityev import Kind, Population, poisson_owners, zero_truncated_owners
 from twosatlab.analysis import compare_distributions
 from twosatlab.gwsim import (
+    _NODE_BUDGET,
     _forest_root_pairs,
     _forest_texts,
     _forest_theta_matrix,
@@ -449,6 +450,117 @@ def test_capped_growth_drops_whole_trees(conditioned, d, depth, cap):
     assert parent.dtype == np.int32 and (np.diff(parent) >= 0).all()
     assert sum(sizes) == count + parent.size and all(sizes)
     assert types.size == parent.size
+
+
+def grow_forest_by_levels(rng, count: int, lam: float, node_cap: int, depth: int | None = None,
+                          live_lam: float | None = None):
+    """The grower as it stood when each generation built its parent array
+    (one arange and one repeat per generation), copied without change: the
+    bit-for-bit oracle for `_grow_forest`, which keeps child counts. Its
+    capped path raises IndexError when the kept total falls back under the
+    cap (see `test_capped_growth_with_the_total_back_under_the_cap`)."""
+    live = None if live_lam is None else np.ones(count, dtype=bool)
+    parents, marks, sizes = [], [live], [count]
+    start, total = 0, count  # first frontier node, nodes kept so far
+    trees, size = [], None  # tree ids of the nodes and tree sizes, kept once total > node_cap
+    while depth is None or len(parents) < depth:
+        n = sizes[-1]
+        kids = rng.poisson(lam, size=n)
+        if live is not None:
+            owners = np.flatnonzero(live)[zero_truncated_owners(rng, live_lam, int(live.sum()))]
+            n_live = np.bincount(owners, minlength=n)
+            kids += n_live
+        if depth is not None and total + int(kids.sum()) > _NODE_BUDGET:
+            raise ResourceLimitError(f"{count} trees cut at depth {depth} would pass "
+                                     f"the budget of {_NODE_BUDGET} nodes per chunk")
+        # int32 ids: _NODE_BUDGET bounds a depth-cut forest, and memory runs
+        # out long before an extinct one nears 2^31 nodes
+        parent = np.arange(start, start + n, dtype=np.int32).repeat(kids)
+        if not parent.size:  # no child anywhere
+            break
+        if live is not None:  # the first n_live[p] children of node p are live
+            live = np.arange(parent.size) < (np.cumsum(kids) - kids + n_live)[parent - start]
+        if total + parent.size > node_cap:  # before, no tree can be over the cap
+            if size is None:
+                tree = np.arange(count, dtype=np.int32)  # the tree of every node so far
+                for above in parents:
+                    tree = np.concatenate([tree, tree[above]])
+                trees, size, tree = [tree], np.bincount(tree, minlength=count), tree[start:]
+            tree = tree[parent - start]
+            size += np.bincount(tree, minlength=count)
+            keep = (size <= node_cap)[tree]
+            if not keep.all():
+                parent, tree = parent[keep], tree[keep]
+                live = None if live is None else live[keep]
+            trees.append(tree)
+        parents.append(parent)
+        marks.append(live)
+        sizes.append(parent.size)
+        start, total = total, total + parent.size
+    parent = np.concatenate(parents) if parents else np.zeros(0, dtype=np.int32)
+    live = None if live is None else np.concatenate(marks)
+    alive = np.full(count, node_cap >= 1) if size is None else size <= node_cap
+    if trees and not alive.all():  # keep the roots and the nodes of trees within the cap
+        keep = alive[np.concatenate(trees)]
+        keep[:count] = True
+        index = np.cumsum(keep, dtype=np.int32) - 1  # new position of each kept node
+        kept = np.diff(index[np.cumsum(sizes) - 1], prepend=-1).tolist()  # per generation
+        parent, sizes = index[parent[keep[count:]]], [k for k in kept if k]  # trailing zeros
+        live = None if live is None else live[keep]
+    return parent, rng.integers(0, 4, size=parent.size, dtype=np.int8), sizes, alive, live
+
+
+def _forest_arrays_equal(got, want):
+    """Bit for bit: parent and types with their dtypes, sizes, alive and live."""
+    (p, t, sizes, alive, live), (p_w, t_w, sizes_w, alive_w, live_w) = got, want
+    assert p.dtype == p_w.dtype and np.array_equal(p, p_w)
+    assert t.dtype == t_w.dtype and np.array_equal(t, t_w)
+    assert sizes == sizes_w and np.array_equal(alive, alive_w)
+    assert (live is None) == (live_w is None)
+    assert live is None or (live.dtype == live_w.dtype and np.array_equal(live, live_w))
+
+
+@pytest.mark.parametrize("conditioned, d, depth", [
+    ("extinct", 0.8, None), ("extinct", 1.5, None), ("extinct", 0.8, 6),
+    ("none", 1.5, 4), ("survive", 1.5, 8)])
+def test_grower_matches_the_level_grower_bit_for_bit(conditioned, d, depth):
+    # the child-count grower against the per-generation parent arrays it
+    # replaced, on every law, at a call's 50 trees and a chunk's 2000,
+    # uncapped, with a cap of 8 nodes, which the total passes at once and
+    # trees pass later, and with one the total passes in the fourth generation
+    info = extinction_probability(d)
+    lam = d if conditioned == "none" else d * info.eta
+    live_lam = d * info.zeta if conditioned == "survive" else None
+    for count in (50, 2000):
+        for seed in range(3):
+            def both(cap):
+                args = (count, lam, cap, depth, live_lam)
+                got = _grow_forest(substream(seed, 0x71), *args)
+                _forest_arrays_equal(got, grow_forest_by_levels(substream(seed, 0x71), *args))
+                return got
+            sizes = both(10**9)[2]
+            assert not both(8)[3].all()
+            later = sum(sizes[:3])
+            assert len(sizes) > 4 and sum(sizes[:4]) > later
+            both(later)
+
+
+def test_capped_growth_with_the_total_back_under_the_cap():
+    # a tree that passes the cap loses its new generation, which can take the
+    # kept total back under the cap; the tree ids must follow every later
+    # generation all the same (the level grower raised IndexError here, first
+    # at seed 47 with 2 trees and cap 5)
+    for seed in range(120):
+        for count, cap in ((2, 5), (3, 8)):
+            parent, types, sizes, alive, _ = _grow_forest(substream(seed, 1), count, 0.9, cap)
+            assert sum(sizes) == count + parent.size and (np.diff(parent) >= 0).all()
+            assert all(_count_nodes(r) <= cap if ok else not r.children
+                       for r, ok in zip(forest_trees(parent, types, count), alive))
+    with pytest.raises(IndexError):
+        grow_forest_by_levels(substream(47, 1), 2, 0.9, 5)
+    vals, texts = tree_marginal_samples(1.5, 3, 366, "survive", 6, node_cap=20, dump=True)
+    assert vals[:2] == [None, None] and texts[:2] == ["(v!)", "(v!)"]
+    assert texts[2].count("(v") <= 20 and Fraction(*fold(parse_tree(texts[2]), bp_pair)) == vals[2]
 
 
 def test_extinct_marginals_oversize_share_matches_borel_law():
