@@ -24,7 +24,7 @@ import numpy as np
 
 from .analysis import compare_distributions, detect_atoms, max_cluster_mass, support_coverage
 from .densityev import Kind, Population, fixpoint, psi, psi_push
-from .formula import (count_solutions, empirical_marginal_measure, exact_marginals,
+from .formula import (_component_counts, count_solutions, empirical_marginal_measure,
                       generate_formula, is_satisfiable)
 from .gwsim import (
     coupled_increment_stats,
@@ -142,8 +142,9 @@ def bp_oracle(ctx: Context) -> tuple[bool, str]:
         t = random_tree(rng, 40)
         q = root_marginal(t)
         f = to_formula(t)
-        marg = exact_marginals(f, eliminate_trees=True)  # not the tree kernel
-        if marg is None or marg[1] != q:
+        # the whole tree through the elimination kernel, not the pair BP
+        z, plus = _component_counts(f.clauses.tolist(), dict.fromkeys(range(1, f.n + 1), (1, 1)))
+        if z == 0 or Fraction(plus[1], z) != q:
             return False, f"mismatch on a {f.n}-variable tree"
         if f.n <= 16:
             stats = count_solutions(f)

@@ -236,7 +236,10 @@ def read_population(fh: IO[str]) -> Population:
     header = fh.readline().strip()
     if not header.startswith("# pop v1 "):
         raise ValueError("not a population file")
-    meta = dict(tok.split("=", 1) for tok in header[len("# pop v1 "):].split())
+    fields = header[len("# pop v1 "):].split()
+    if bad := [tok for tok in fields if "=" not in tok]:
+        raise ValueError(f"line 1: expected header fields key=value, got {bad[0]!r}")
+    meta = dict(tok.split("=", 1) for tok in fields)
     samples = np.array([float(line) for line in fh.read().split("\n") if line.strip()])
     d = float(meta.get("d", "nan"))
     if meta.get("kind") not in Kind.__members__:

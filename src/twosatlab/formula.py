@@ -168,10 +168,10 @@ def is_satisfiable(f: Formula) -> bool:
 # cells over all of the core's buckets than 2^(_ELIM_WIDTH_CAP + 1), is a
 # ResourceLimitError raised before any table exists. Width alone does not
 # bound memory: every bucket is kept until the backward pass (width 19 over
-# 1.5M cells peaked at 497 MB). With eliminate_trees, every component goes
-# whole through elimination, with no split and no separate verdict, as an
-# independent check on the pair BP; count_solutions is the independent
-# enumeration oracle.
+# 1.5M cells peaked at 497 MB). The acceptance gate's BP oracle (C01) hands
+# each tree whole, every variable weighted (1, 1), to the same elimination
+# kernel, as an independent check on the pair BP; count_solutions is the
+# independent enumeration oracle.
 
 
 def _forest_up(gens: list) -> tuple:
@@ -218,18 +218,17 @@ def _forest_pairs(forest: tuple) -> dict[int, tuple[int, int]]:
     return dict(zip((u for level in levels for u in level[0]), product_pairs(prods)))
 
 
-def _split(members: list, adj: list, peel: bool) -> tuple[dict, list, list]:
-    """A cyclic component's 2-core and, if `peel`, the trees hanging off it.
+def _split(members: list, adj: list) -> tuple[list, list]:
+    """A cyclic component's 2-core and the trees hanging off it.
 
     Peeling removes, again and again, a variable in exactly one clause (a
     repeated clause counts twice); it hangs below the variable at that
-    clause's other end. Returns the core's neighbour sets, its rows
-    (i, s_i, j, s_j), each once, and the pendant trees in `_forest_up` form,
-    gens[0] holding every core variable, with a tree below it or none.
-    Without `peel` the core is the whole component.
+    clause's other end. Returns the core's rows (i, s_i, j, s_j), each once,
+    and the pendant trees in `_forest_up` form, gens[0] holding every core
+    variable, with a tree below it or none.
     """
     deg = {u: len(adj[u]) for u in members}
-    leaves = [u for u, k in deg.items() if k == 1] if peel else []
+    leaves = [u for u, k in deg.items() if k == 1]
     kids: dict[int, list] = {}
     for u in leaves:  # the loop sees each leaf it appends; the cycles stop it
         deg[u] = 0
@@ -240,20 +239,13 @@ def _split(members: list, adj: list, peel: bool) -> tuple[dict, list, list]:
         deg[w] -= 1
         if deg[w] == 1:
             leaves.append(w)
-    nb, rows = {}, []  # each row once, from its smaller variable
-    for u in members:
-        if deg[u]:
-            nb[u] = others = set()
-            for w, _, _, row in adj[u]:
-                if deg[w]:
-                    others.add(w)
-                    if w > u:
-                        rows.append(row)
-    gens, level = [], [(u, 0, 0, 0) for u in nb]
+    core = [u for u in members if deg[u]]
+    rows = [row for u in core for w, _, _, row in adj[u] if w > u and deg[w]]  # each row once
+    gens, level = [], [(u, 0, 0, 0) for u in core]
     while level:
         gens.append(level)
         level = [(u, k, r, t) for k, (w, *_) in enumerate(level) for u, r, t in kids.get(w, ())]
-    return nb, rows, gens
+    return rows, gens
 
 
 def _satisfiable(rows: list) -> bool:
@@ -317,13 +309,18 @@ def _spread(scope: tuple, into: tuple) -> list[int]:
     return idx
 
 
-def _component_counts(nb: dict[int, set], rows: list, unary: dict[int, tuple]) -> tuple[int, dict]:
-    """Solution count Z of a connected component and, if Z > 0, its number of
-    solutions with x = +1 for each variable x. Consumes `nb`, the neighbour
-    sets; `rows` are the component's clauses (i, s_i, j, s_j), and for every
-    variable v, unary[v] = (P, Q) weighs v = +1 by P and v = -1 by Q."""
+def _component_counts(rows: list, unary: dict[int, tuple]) -> tuple[int, dict]:
+    """Weighted solution count Z of a connected component and, for each
+    variable x, the weight of its solutions with x = +1. `rows` are the
+    component's clauses (i, s_i, j, s_j), and for every variable v,
+    unary[v] = (P, Q) weighs v = +1 by P and v = -1 by Q; with every weight
+    (1, 1) these are plain solution counts."""
     # min-degree order; bucket v is over (v, *separator), the separator being
     # v's neighbours, fill-in included, when v is eliminated
+    nb: dict[int, set] = {v: set() for v in unary}
+    for i, _, j, _ in rows:
+        nb[i].add(j)
+        nb[j].add(i)
     scope: dict[int, tuple] = {}
     heap = [(len(s), v) for v, s in nb.items()]
     heapq.heapify(heap)
@@ -360,8 +357,6 @@ def _component_counts(nb: dict[int, set], rows: list, unary: dict[int, tuple]) -
         for _, _, e in kids[v]:
             t = [x * y for x, y in zip(t, e)]
         msg = [a + b for a, b in zip(t[0::2], t[1::2])]
-        if not any(msg):  # a zero message makes every count 0
-            return 0, {}
         if len(scope[v]) > 1:
             parent = min(scope[v][1:], key=rank.__getitem__)
             idx = _spread(scope[v][1:], scope[parent])
@@ -386,9 +381,7 @@ def _component_counts(nb: dict[int, set], rows: list, unary: dict[int, tuple]) -
     return z, plus
 
 
-def exact_marginals(
-    f: Formula, component_cap: int = COMPONENT_CAP, eliminate_trees: bool = False,
-) -> dict[int, Fraction] | None:
+def exact_marginals(f: Formula, component_cap: int = COMPONENT_CAP) -> dict[int, Fraction] | None:
     """Exact marginal P(x = +1) for every variable, or None if unsatisfiable.
 
     Decomposes the factor graph into connected components and counts each
@@ -400,8 +393,7 @@ def exact_marginals(
     trees fold onto their roots, elimination counts the core alone, within
     the module's `_ELIM_WIDTH_CAP` and its cell budget, and the trees take
     their pairs from the core's counts. component_cap bounds whole
-    components. eliminate_trees sends every component whole through
-    elimination, trees included, with no split and no separate verdict.
+    components, pendant trees included.
     """
     adj: list[list] = [[] for _ in range(f.n + 1)]
     for row in f.clauses.tolist():  # on both ends, with its CLAUSE_TYPES index from each
@@ -416,7 +408,7 @@ def exact_marginals(
         if seen[v] or not adj[v]:
             continue
         seen[v] = True
-        if not eliminate_trees and len(adj[v]) == 1 == len(adj[adj[v][0][0]]):
+        if len(adj[v]) == 1 == len(adj[adj[v][0][0]]):
             (w, _, _, (i, si, j, sj)), = adj[v]
             seen[w] = True
             size, tail = 2, None
@@ -441,19 +433,18 @@ def exact_marginals(
                                      f"exceeds cap {component_cap}")
         if tail is None:  # 3 solutions, 2 of them with a given literal true
             pairs[i], pairs[j] = (1 + (si > 0), 3), (1 + (sj > 0), 3)
-        elif eliminate_trees or entries >= 2 * size:  # clauses >= variables: a cycle
+        elif entries >= 2 * size:  # clauses >= variables: a cycle
             members = [e[0] for g, lo in enumerate(tail) for e in gens[g][lo:]]
             for g, lo in enumerate(tail):
                 del gens[g][lo:]  # the walk appended this component last
-            nb, rows, hanging = _split(members, adj, peel=not eliminate_trees)
-            if not (eliminate_trees or _satisfiable(rows)):
+            rows, hanging = _split(members, adj)
+            if not _satisfiable(rows):
                 return None
             forest = _forest_up(hanging)
             p_prod, q_prod = forest[-1]
             roots = [e[0] for e in hanging[0]]  # every core variable
-            z, plus = _component_counts(nb, rows, dict(zip(roots, zip(p_prod, q_prod))))
-            if z == 0:
-                return None
+            # Z > 0: the verdict passed, and every tree weighs each root value positively
+            z, plus = _component_counts(rows, dict(zip(roots, zip(p_prod, q_prod))))
             for k, u in enumerate(roots):  # the trees' downward pass starts from here
                 p_prod[k], q_prod[k] = plus[u], z - plus[u]
             pairs.update(_forest_pairs(forest))
@@ -490,8 +481,15 @@ def read_formula(fh: IO[str]) -> Formula:
     n, m = int(header[2]), int(header[3])
     if m < 0:
         raise ValueError(f"negative clause count {m}")
-    rows = [(abs(a), 1 if a > 0 else -1, abs(b), 1 if b > 0 else -1)
-            for a, b in (map(int, fh.readline().split()) for _ in range(m))]
+    rows = []
+    for k in range(1, m + 1):
+        text = fh.readline().strip()
+        try:
+            a, b = map(int, text.split())
+        except ValueError:  # too few or too many parts, or a part that is no integer
+            raise ValueError(f"line {k + 1}: expected clause {k} of {m} as two literals "
+                             f"'<a> <b>', got {text!r}") from None
+        rows.append((abs(a), 1 if a > 0 else -1, abs(b), 1 if b > 0 else -1))
     if any(line.strip() for line in fh):
         raise ValueError(f"unexpected text after the {m} clause lines")
     try:

@@ -483,6 +483,21 @@ def test_marginals_rejects_text_after_clauses(tmp_path, capsys):
     assert "after the 1 clause lines" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, text, message", [
+    (["marginals"], "p 2sat 3 2\n1 2\n",
+     "line 3: expected clause 2 of 2 as two literals '<a> <b>', got ''"),
+    (["count"], "p 2sat 3 2\n1 2 3\n2 3\n",
+     "line 2: expected clause 1 of 2 as two literals '<a> <b>', got '1 2 3'"),
+    (["atoms", "--d", "0.8"], "# pop v1 kind=MU d=0.8 gen\n0.5\n",
+     "line 1: expected header fields key=value, got 'gen'"),
+], ids=["truncated", "three-literals", "header-token"])
+def test_reader_errors_name_the_line(argv, text, message, tmp_path, capsys):
+    path = tmp_path / "input.txt"
+    path.write_text(text)
+    assert main([*argv, "--in", str(path)]) == 2
+    assert capsys.readouterr().err == f"invalid arguments: {message}\n"
+
+
 @pytest.mark.parametrize("workers", ["0", "-5"])
 def test_workers_must_be_positive(workers, capsys):
     assert main(["marginals", "--in", "unused.txt", "--workers", workers]) == 2

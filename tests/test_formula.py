@@ -420,7 +420,7 @@ def forest_formulas(draw, max_vars=16):
 @given(forest_formulas())
 def test_tree_kernel_matches_elimination_and_enumeration(f):
     marg = exact_marginals(f)
-    assert marg == exact_marginals(f, eliminate_trees=True)
+    assert marg == oracle_marginals(f)
     stats = count_solutions(f)
     assert marg == {v: stats.marginal(v) for v in range(1, f.n + 1)}
     assert all(0 < q < 1 for q in marg.values())
@@ -433,7 +433,10 @@ def test_tree_kernel_past_the_recursion_limit():
     signs = rng.choice([-1, 1], size=(n - 1, 2)).tolist()
     f = Formula(n=n, clauses=[[k, si, k + 1, sj] for k, (si, sj) in enumerate(signs, 1)])
     marg = exact_marginals(f, component_cap=n)
-    assert marg == exact_marginals(f, component_cap=n, eliminate_trees=True)
+    # the whole path through the elimination kernel: the test oracle would
+    # eliminate it once per variable
+    z, plus = formula._component_counts(f.clauses.tolist(), dict.fromkeys(range(1, n + 1), (1, 1)))
+    assert marg == {v: Fraction(plus[v], z) for v in range(1, n + 1)}
     assert len(str(marg[n // 2].denominator)) > 100
 
 
@@ -441,20 +444,16 @@ def test_only_cyclic_components_reach_elimination(monkeypatch):
     seen, factors = [], {}
     kernel = formula._component_counts
 
-    def counting(nb, rows, unary):
-        seen.append((sorted(nb), sorted(unary)))
+    def counting(rows, unary):
+        seen.append((sorted({v for i, _, j, _ in rows for v in (i, j)}), sorted(unary)))
         factors.update(unary)
-        return kernel(nb, rows, unary)
+        return kernel(rows, unary)
 
     monkeypatch.setattr(formula, "_component_counts", counting)
     forest = Formula(n=9, clauses=[[1, 1, 2, -1], [3, -1, 4, 1], [4, 1, 5, 1],
                                    [4, -1, 6, -1], [8, 1, 7, 1]])
-    assert exact_marginals(forest) == exact_marginals(forest, eliminate_trees=True)
-    # only the eliminate_trees call, whole components, every variable a bare
-    # root whose unary factor is (1, 1)
-    assert seen == [([1, 2], [1, 2]), ([3, 4, 5, 6], [3, 4, 5, 6]), ([7, 8], [7, 8])]
-    assert set(factors.values()) == {(1, 1)}
-    seen.clear()
+    assert exact_marginals(forest) == oracle_marginals(forest)
+    assert seen == []  # no tree component reaches elimination
     # the same forest with a 2-cycle on variables 9 and 10
     f = Formula(n=10, clauses=[*forest.clauses.tolist(), [9, 1, 10, 1], [10, -1, 9, 1]])
     marg = exact_marginals(f)
@@ -485,7 +484,7 @@ def _against_both_oracles(f: Formula):
     stats = count_solutions(f)
     assert marg == (None if stats.count == 0 else
                     {v: stats.marginal(v) for v in range(1, f.n + 1)})
-    assert marg == exact_marginals(f, eliminate_trees=True)
+    assert marg == oracle_marginals(f)
     return marg
 
 
@@ -576,7 +575,7 @@ def test_unsat_core_past_the_width_cap_returns_none(monkeypatch):
     assert count_solutions(f).count == 0
     monkeypatch.setattr(formula, "_ELIM_WIDTH_CAP", 3)
     with pytest.raises(ResourceLimitError, match="elimination width 6 exceeds cap 3"):
-        exact_marginals(f, eliminate_trees=True)
+        formula._component_counts(f.clauses.tolist(), dict.fromkeys(range(1, 8), (1, 1)))
 
     def unreachable(*args):
         raise AssertionError("an unsatisfiable core reached elimination")
@@ -651,7 +650,7 @@ def test_table_cell_budget_error(monkeypatch):
     # = 18 cells; the tail is peeled, and the core's 8 + 4 + 2 = 14 fit
     tailed = Formula(n=4, clauses=[[1, 1, 2, 1], [2, 1, 3, 1], [1, -1, 3, 1], [3, 1, 4, 1]])
     with pytest.raises(ResourceLimitError, match="18 cells exceed budget 16"):
-        exact_marginals(tailed, eliminate_trees=True)
+        formula._component_counts(tailed.clauses.tolist(), dict.fromkeys(range(1, 5), (1, 1)))
     assert exact_marginals(tailed) == oracle_marginals(tailed)
 
 
@@ -709,8 +708,11 @@ def test_text_literal_convention():
 def test_text_rejects_text_after_clauses():
     with pytest.raises(ValueError, match="after the 1 clause lines"):
         read_formula(io.StringIO("p 2sat 3 1\n1 2\n1 -1\ngarbage\n"))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^line 3: expected clause 2 of 2 as two literals "
+                                         "'<a> <b>', got ''$"):
         read_formula(io.StringIO("p 2sat 3 2\n1 2\n"))
+    with pytest.raises(ValueError, match="^line 2: .* got '1 2 3'$"):
+        read_formula(io.StringIO("p 2sat 3 1\n1 2 3\n"))
     with pytest.raises(ValueError, match="negative"):
         read_formula(io.StringIO("p 2sat 3 -1\n"))
     f = read_formula(io.StringIO("p 2sat 3 1\n1 2\n\n  \n"))

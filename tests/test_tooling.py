@@ -25,7 +25,8 @@ from twosatlab.gwsim import (coupled_increment_stats, extinct_marginal_samples,
 from twosatlab.treebp import construct_rational_tree, format_tree
 
 SRC = Path(twosatlab.__file__).parent
-BENCHMARK = Path(__file__).resolve().parents[1] / "benchmarks" / "run.py"
+ROOT = Path(__file__).resolve().parents[1]
+BENCHMARK = ROOT / "benchmarks" / "run.py"
 
 
 def _owners(match):
@@ -156,44 +157,63 @@ def test_every_private_name_the_tests_import_is_used_in_src():
     assert imported and sorted(imported - used) == []
 
 
-def test_benchmark_exact_job_passes_its_checks(monkeypatch):
-    # the benchmark script's `exact` job at --tiny sizes, one checked pass,
-    # imported and never written to: no run record, and the environment
-    # variables it sets at import are undone
-    out = BENCHMARK.parent / "out"
-    records = sorted(out.glob("*")) if out.exists() else None
-    environ = dict(os.environ)
-    monkeypatch.setattr(sys, "path", list(sys.path))  # the script puts src/ first
+@pytest.fixture(scope="module")
+def bench():
+    """The benchmark script, imported and never written to: the environment
+    variables it sets and the path it puts first at import are undone."""
+    environ, path = dict(os.environ), list(sys.path)
     spec = importlib.util.spec_from_file_location("benchmark_run", BENCHMARK)
-    bench = importlib.util.module_from_spec(spec)
+    module = importlib.util.module_from_spec(spec)
     try:
-        spec.loader.exec_module(bench)
+        spec.loader.exec_module(module)
     finally:
         for key in set(os.environ) - set(environ):
             del os.environ[key]
         os.environ.update(environ)
-    steps, check = bench.job_exact(bench.SIZES["tiny"], 1)
+        sys.path[:] = path
+    return module
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("job", ["exact", "tree_atoms", "popdyn"])
+def test_benchmark_job_passes_its_checks(bench, job, seed, tmp_path, monkeypatch):
+    # every job of the benchmark script at --tiny sizes, one checked pass:
+    # a failed check makes a benchmark run exit 1. popdyn's round trip file
+    # goes to tmp_path, and nothing lands in the script's run records.
+    assert list(bench.JOBS) == ["exact", "tree_atoms", "popdyn"]
+    out = BENCHMARK.parent / "out"
+    records = sorted(out.glob("*")) if out.exists() else None
+    monkeypatch.setattr(bench, "OUT_DIR", str(tmp_path))
+    steps, check = bench.JOBS[job](bench.SIZES["tiny"], seed)
     run = bench.Run(tracing=False)
     _, _, passes, work = bench.measure(run, steps, check, 0, passes=1)
     assert (passes, run.errors, run.failed) == (1, [], 0)
     assert run.attempted > 0 and work > 0
     assert (sorted(out.glob("*")) if out.exists() else None) == records
+    assert list(tmp_path.iterdir()) == []
 
 
-def test_newest_bench_file_has_every_header_field_and_row():
+@pytest.fixture(scope="module")
+def tool():
+    """tools/trajectory.py, imported."""
+    spec = importlib.util.spec_from_file_location("trajectory", ROOT / "tools" / "trajectory.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_newest_bench_file_has_every_header_field_and_row(tool):
     # the newest committed point of the bench trajectory holds the header and
     # every row that tools/trajectory.py writes, each with consistent values
-    root = Path(__file__).resolve().parents[1]
-    files = sorted(root.glob("BENCH_*.json"), key=lambda path: int(path.stem.split("_")[1]))
-    spec = importlib.util.spec_from_file_location("trajectory", root / "tools" / "trajectory.py")
-    tool = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tool)
+    files = sorted(ROOT.glob("BENCH_*.json"), key=lambda path: int(path.stem.split("_")[1]))
     bench = json.loads(files[-1].read_text())
     assert sorted(bench) == sorted([*tool.HEADER, "rows"])
     assert bench["pr"] == int(files[-1].stem.split("_")[1]) and bench["nproc"] >= 1
     assert re.fullmatch(r"[0-9a-f]{40}", bench["commit"]) and isinstance(bench["dirty"], bool)
     assert all(bench[key] for key in ("date", "machine", "python", "numpy", "scipy"))
     assert re.search(r"\d+ passed", bench["tier1_summary"])
+    slowest = bench["tier1_slowest"]
+    assert 1 <= len(slowest) <= 10 and all(tool.DURATION.match(line) for line in slowest)
     assert [row["name"] for row in bench["rows"]] == list(tool.ROWS)
     for row in bench["rows"]:
         assert sorted(row) == sorted(tool.ROW_FIELDS), row["name"]
@@ -202,6 +222,33 @@ def test_newest_bench_file_has_every_header_field_and_row():
                                else "end_to_end"), row["name"]
         assert row["k"] >= 1 and 0 <= lo == row["best_s"] <= row["median_s"] <= hi, row["name"]
         assert row["minflt"] >= 0 and row["peak_rss_mb"] > 0, row["name"]
+
+
+def test_trajectory_compare_gives_each_verdict(tool):
+    def bench(*rows):
+        return {"rows": [{"name": name, "spread_s": spread, "minflt": faults}
+                         for name, spread, faults in rows]}
+
+    prev = bench(("fast", [1.0, 2.0], 100), ("slow", [1.0, 2.0], 10_000),
+                 ("same", [1.0, 2.0], 0), ("gone", [1.0, 1.0], 5))
+    new = bench(("fast", [0.5, 0.9], 3_099), ("slow", [2.5, 3.0], 13_000),
+                ("same", [1.5, 2.5], 0), ("added", [1.0, 1.0], 5))
+    assert tool.compare(prev, new) == [
+        "added  only in one file",
+        "gone   only in one file",
+        "fast   faster     1-2 s -> 0.5-0.9 s",
+        "slow   slower     1-2 s -> 2.5-3 s",
+        "same   unchanged  1-2 s -> 1.5-2.5 s",
+        "fast   minflt x30.99  100 -> 3,099  layout-sensitive",
+        "slow   minflt x1.30  10,000 -> 13,000  moved",
+        "same   minflt x-  0 -> 0  layout-sensitive",
+    ]
+    # the committed files of PRs 29 and 30: C01's faults fell by 4k, C02's
+    # stayed at 4
+    lines = tool.compare(*(json.loads((ROOT / f"BENCH_{pr}.json").read_text())
+                           for pr in (29, 30)))
+    assert [line.split()[-1] for line in lines if line.split()[:2] in (
+        ["gate.C01", "minflt"], ["gate.C02", "minflt"])] == ["moved", "layout-sensitive"]
 
 
 def _digest(items):

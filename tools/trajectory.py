@@ -5,6 +5,10 @@ process it starts:
 
     python tools/trajectory.py --pr 26            # writes BENCH_26.json at the root
     python tools/trajectory.py --pr 26 --out x.json
+    python tools/trajectory.py --pr 27 --against BENCH_26.json
+
+With `--against`, the new file is then compared with an earlier one, row by
+row (see `compare`).
 
 The header names the commit (and whether tracked files differ from it), the
 machine, the CPU, the core count and the Python, numpy and scipy versions.
@@ -20,7 +24,8 @@ End-to-end rows:
   the process's high-water mark when the check ends.
 - `verify.quick`: `python -m twosatlab verify --quick`, launched.
 - `tier1`: the Tier-1 pytest command, launched once; the header keeps its
-  summary line.
+  summary line and, as `tier1_slowest`, the `--durations=10` lines that
+  pyproject has pytest print.
 
 Layer rows run each call in a fresh process, at the gate's sizes and seeds:
 one warm call, then `gc.collect()` before each timed call. `cli.cold_start`
@@ -35,6 +40,7 @@ import gc
 import json
 import os
 import platform
+import re
 import resource
 import statistics
 import subprocess
@@ -48,7 +54,7 @@ ROOT = Path(__file__).resolve().parents[1]
 SEED = 20240801  # the gate's default seed
 K = 3  # runs of the gate and of `verify --quick`; a layer row takes K + 2
 HEADER = ("pr", "commit", "dirty", "date", "machine", "cpu", "nproc", "python", "numpy",
-          "scipy", "tier1_summary")
+          "scipy", "tier1_summary", "tier1_slowest")
 ROW_FIELDS = ("name", "kind", "k", "best_s", "median_s", "spread_s", "minflt", "peak_rss_mb")
 GATE = tuple(f"gate.C{n:02d}" for n in range(1, 13))
 LAYERS = (  # each times one call at the gate's sizes (see `_layer_call`)
@@ -59,6 +65,8 @@ LAYERS = (  # each times one call at the gate's sizes (see `_layer_call`)
 )
 ROWS = (*GATE, "verify.quick", "tier1", *LAYERS, "cli.cold_start")
 TIER1 = ["-m", "pytest", "-q", "--continue-on-collection-errors", "-p", "no:cacheprovider"]
+DURATION = re.compile(r"\d+\.\d+s (setup|call|teardown) +\S")  # a --durations line
+LAYOUT_FAULTS = 3000  # a minflt row moves by about this much with heap layout alone
 
 
 def _usage():
@@ -179,7 +187,8 @@ def measure(pr: int) -> dict:
         tier1 = [_launch(TIER1, out=log)]
         rows.append(_row("tier1", "end_to_end", *zip(*tier1)))
         log.seek(0)
-        summary = log.read().strip().splitlines()[-1]
+        *output, summary = log.read().strip().splitlines()
+    slowest = [line for line in output if DURATION.match(line)]
     for name in LAYERS:
         got = _child(["layer", name, str(K + 2)])
         rows.append(_row(name, "layer", got["times"], got["minflt"], got["rss"]))
@@ -198,15 +207,48 @@ def measure(pr: int) -> dict:
               "machine": platform.platform(), "cpu": cpu[0] if cpu else platform.processor(),
               "nproc": os.cpu_count(), "python": platform.python_version(),
               "numpy": numpy.__version__, "scipy": scipy.__version__,
-              "tier1_summary": summary}
+              "tier1_summary": summary, "tier1_slowest": slowest}
     assert [row["name"] for row in rows] == list(ROWS)
     return {**header, "rows": rows}
+
+
+def _seconds(spread) -> str:
+    return "{:.3g}-{:.3g} s".format(*spread)
+
+
+def compare(prev: dict, bench: dict) -> list[str]:
+    """Lines comparing `bench` with the earlier file `prev`: one per row for
+    time, then one per row for minor faults.
+
+    A row is faster or slower only when its `spread_s` range and the earlier
+    one do not overlap, else unchanged. The `minflt` line gives the ratio of
+    the medians, and marks the row layout-sensitive when the count moved by
+    less than LAYOUT_FAULTS, moved otherwise.
+    """
+    before = {row["name"]: row for row in prev["rows"]}
+    pairs = [(before[row["name"]], row) for row in bench["rows"] if row["name"] in before]
+    width = max(len(row["name"]) for row in bench["rows"])
+    lines = [f"{name:<{width}}  only in one file" for name in
+             sorted(set(before) ^ {row["name"] for row in bench["rows"]})]
+    for old, new in pairs:
+        (lo, hi), (new_lo, new_hi) = old["spread_s"], new["spread_s"]
+        verdict = "faster" if new_hi < lo else "slower" if new_lo > hi else "unchanged"
+        lines.append(f"{new['name']:<{width}}  {verdict:<9}  "
+                     f"{_seconds(old['spread_s'])} -> {_seconds(new['spread_s'])}")
+    for old, new in pairs:
+        a, b = old["minflt"], new["minflt"]
+        note = "layout-sensitive" if abs(b - a) < LAYOUT_FAULTS else "moved"
+        ratio = f"x{b / a:.2f}" if a else "x-"
+        lines.append(f"{new['name']:<{width}}  minflt {ratio}  {a:,} -> {b:,}  {note}")
+    return lines
 
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
     ap.add_argument("--pr", type=int, help="the PR number the file is named after")
     ap.add_argument("--out", type=Path, help="output path (default BENCH_<pr>.json at the root)")
+    ap.add_argument("--against", type=Path,
+                    help="an earlier BENCH file to compare the new one with")
     ap.add_argument("--child", nargs="+", help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
     if args.child:
@@ -220,6 +262,8 @@ def main(argv=None) -> int:
     out = args.out or ROOT / f"BENCH_{args.pr}.json"
     out.write_text(json.dumps(bench, indent=1) + "\n")
     print(f"wrote {out}: {len(bench['rows'])} rows, tier-1 {bench['tier1_summary']}")
+    if args.against:
+        print("\n".join(compare(json.loads(args.against.read_text()), bench)))
     return 0
 
 
